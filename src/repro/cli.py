@@ -57,6 +57,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import obs
@@ -84,6 +85,70 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "--metrics-json", metavar="PATH",
         help="write a JSON snapshot of the metrics registry",
     )
+
+
+def _add_serving_arguments(
+    parser: argparse.ArgumentParser,
+    requests: int,
+    generate_len: int,
+    utilization,
+    utilization_help: str,
+    attribution_help: str,
+    generate_len_help: Optional[str] = None,
+) -> None:
+    """The flags ``serve-sim``, ``serve-cluster`` and ``serve-disagg`` share.
+
+    Each command passes its own defaults.  A string ``utilization``
+    default makes ``--utilization`` a comma list for ``--sweep`` (and
+    ``--rate`` single-run only); a float keeps it one number.
+    """
+    sweepable = isinstance(utilization, str)
+    parser.add_argument("--model", default="bert-base", choices=sorted(EVAL_MODELS))
+    parser.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS))
+    parser.add_argument("--v", type=int, default=4)
+    parser.add_argument("--ct", type=int, default=16)
+    parser.add_argument("--layers", type=int, default=None, metavar="N",
+                        help="override the model's layer count (quick runs)")
+    parser.add_argument("--native", action="store_true",
+                        help="serve on the native GEMM/GEMV engines "
+                             "instead of LUT-NN")
+    parser.add_argument("--requests", type=int, default=requests, metavar="N")
+    parser.add_argument("--prompt-len", type=int, default=128, metavar="N")
+    parser.add_argument("--generate-len", type=int, default=generate_len,
+                        metavar="N", help=generate_len_help)
+    parser.add_argument("--batch", type=int, default=1, metavar="N",
+                        help="sequences bundled per request (batch hint)")
+    parser.add_argument("--arrivals", choices=["poisson", "uniform"],
+                        default="poisson")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rate", type=float, default=None, metavar="RPS",
+                        help="offered arrival rate ("
+                             + ("single run only; " if sweepable else "")
+                             + "default derives from --utilization)")
+    parser.add_argument("--utilization", type=type(utilization),
+                        default=utilization,
+                        metavar="RHO[,RHO...]" if sweepable else "RHO",
+                        help=utilization_help)
+    parser.add_argument("--max-batch", type=int, default=8, metavar="N",
+                        help="sequences decoding concurrently")
+    parser.add_argument("--max-context-tokens", type=int, default=1 << 20,
+                        metavar="N", help="KV-token cap across the batch")
+    parser.add_argument("--queue-cap", type=int, default=1024, metavar="N",
+                        help="bounded wait queue; overflow rejects")
+    parser.add_argument("--chunked-prefill", action="store_true",
+                        help="interleave prompt prefill in chunks with "
+                             "decode steps")
+    parser.add_argument("--prefill-chunk", type=int, default=128, metavar="N",
+                        help="tokens prefilled per step under --chunked-prefill")
+    parser.add_argument("--slo-ttft-ms", type=float, default=None, metavar="MS",
+                        help="TTFT SLO (default: 2.5x unloaded prefill)")
+    parser.add_argument("--slo-e2e-ms", type=float, default=None, metavar="MS",
+                        help="end-to-end SLO (default: 2.5x unloaded request)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
+    parser.add_argument("--attribution", action="store_true",
+                        help=attribution_help)
+    _add_telemetry_arguments(parser)
 
 
 def _shape_from_args(args) -> LUTShape:
@@ -789,18 +854,24 @@ def _scheduler_row(label: str, result) -> list:
     ]
 
 
-def cmd_serve_sim(args) -> int:
-    """Continuous-batching serving simulation under an arrival stream."""
+def _serving_setup(args):
+    """Config, server, probe pricing, SLO defaults and the policy of one
+    ``serve-*`` command, or ``None`` after printing a usage error.
+
+    SLOs default to headroom over the *unloaded* request on one unsharded
+    colocated engine — 2.5x the bare prefill for TTFT, 2.5x the bare
+    service time end to end — so goodput is comparable across the
+    serving commands.
+    """
     from .baselines import wimpy_host
     from .engine import (GenerationServer, Request, RequestScheduler,
-                         SchedulerPolicy, poisson_requests)
+                         SchedulerPolicy)
 
-    config = EVAL_MODELS[args.model]
     try:
-        config = _apply_layers_override(config, args.layers)
+        config = _apply_layers_override(EVAL_MODELS[args.model], args.layers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return None
     server = GenerationServer(
         get_platform(args.platform), wimpy_host(), v=args.v, ct=args.ct,
         lut_nn=not args.native,
@@ -809,8 +880,6 @@ def cmd_serve_sim(args) -> int:
         request_id=-1, arrival_s=0.0, prompt_len=args.prompt_len,
         generate_len=args.generate_len, batch=args.batch,
     )
-    # SLOs default to headroom over the *unloaded* request: 2.5x the bare
-    # prefill for TTFT, 2.5x the bare service time end to end.
     prescheduler = RequestScheduler(server, config)
     service_s = prescheduler.fifo_service_time(probe)
     unloaded_ttft_s = prescheduler.cost.prefill_s(args.prompt_len, args.batch)
@@ -820,8 +889,7 @@ def cmd_serve_sim(args) -> int:
         slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+        return None
     policy = SchedulerPolicy(
         max_batch_size=args.max_batch,
         max_context_tokens=args.max_context_tokens,
@@ -831,51 +899,85 @@ def cmd_serve_sim(args) -> int:
         slo_ttft_s=slo_ttft_s,
         slo_e2e_s=slo_e2e_s,
     )
-    scheduler = RequestScheduler(server, config, policy=policy)
-    scheduler.cost = prescheduler.cost  # reuse the probe's tuned costs
+    if getattr(args, "sweep", False) and args.rate is not None:
+        print("error: --sweep derives rates from --utilization; "
+              "--rate is single-run only", file=sys.stderr)
+        return None
+    return SimpleNamespace(
+        config=config, server=server, cost=prescheduler.cost,
+        service_s=service_s, policy=policy,
+        slo={"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
+    )
 
-    # --rate 0 must not silently fall back to --utilization (falsy-arg
-    # trap); resolve on presence, then validate both paths explicitly.
-    if args.rate is not None:
-        if args.rate <= 0:
-            print(f"error: --rate must be positive, got {args.rate}",
-                  file=sys.stderr)
-            return 2
-        rate = args.rate
-    else:
-        if args.utilization <= 0:
-            print(
-                f"error: --utilization must be positive, got "
-                f"{args.utilization}",
-                file=sys.stderr,
-            )
-            return 2
-        rate = args.utilization / service_s
-    stream = poisson_requests(
+
+def _print_serving_json(args, setup, **fields) -> None:
+    _print_json({
+        "model": setup.config.name,
+        "platform": args.platform,
+        "fifo_service_time_s": setup.service_s,
+        "slo": setup.slo,
+        **fields,
+    })
+
+
+def _offered_rate(rate: Optional[float], utilization: Optional[float],
+                  service_s: float) -> float:
+    """``--rate`` when given, else ``--utilization`` of the FIFO rate.
+
+    Resolves on presence: ``--rate 0`` must not silently fall back to
+    ``--utilization`` (the falsy-arg trap); both paths reject
+    non-positive values with ``ValueError``.
+    """
+    if rate is not None:
+        if rate <= 0:
+            raise ValueError(f"--rate must be positive, got {rate}")
+        return rate
+    if utilization <= 0:
+        raise ValueError(f"--utilization must be positive, got {utilization}")
+    return utilization / service_s
+
+
+def _request_stream(args, rate: float, sessions: Optional[int] = None):
+    from .engine import poisson_requests
+
+    return poisson_requests(
         args.requests, rate,
         prompt_len=args.prompt_len, generate_len=args.generate_len,
         batch=args.batch, arrivals=args.arrivals, seed=args.seed,
+        sessions=sessions,
     )
+
+
+def cmd_serve_sim(args) -> int:
+    """Continuous-batching serving simulation under an arrival stream."""
+    from .engine import RequestScheduler
+
+    setup = _serving_setup(args)
+    if setup is None:
+        return 2
+    config, policy = setup.config, setup.policy
+    scheduler = RequestScheduler(setup.server, config, policy=policy)
+    scheduler.cost = setup.cost  # reuse the probe's tuned costs
+    try:
+        rate = _offered_rate(args.rate, args.utilization, setup.service_s)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    stream = _request_stream(args, rate)
     result = scheduler.run(stream)
 
     fifo_result = None
     if args.compare_fifo:
-        fifo = RequestScheduler(server, config, policy=policy.fifo())
+        fifo = RequestScheduler(setup.server, config, policy=policy.fifo())
         fifo.cost = scheduler.cost
         fifo_result = fifo.run(stream)
 
     if args.json:
-        payload = {
-            "model": config.name,
-            "platform": args.platform,
-            "arrival_rate_rps": rate,
-            "fifo_service_time_s": service_s,
-            "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-            "continuous_batching": result.to_jsonable(),
-        }
-        if fifo_result is not None:
-            payload["fifo"] = fifo_result.to_jsonable()
-        _print_json(payload)
+        extra = {} if fifo_result is None else {"fifo": fifo_result.to_jsonable()}
+        _print_serving_json(
+            args, setup, arrival_rate_rps=rate,
+            continuous_batching=result.to_jsonable(), **extra,
+        )
         return _finish_telemetry(args)
 
     mode = "chunked prefill" if policy.chunked_prefill else "whole-prompt prefill"
@@ -889,7 +991,7 @@ def cmd_serve_sim(args) -> int:
         f"policy: max batch {policy.max_batch_size} seqs, "
         f"max context {policy.max_context_tokens} tokens, queue cap "
         f"{policy.max_queue_len}, {mode}; SLO ttft "
-        f"{slo_ttft_s * 1e3:.1f} ms, e2e {slo_e2e_s * 1e3:.1f} ms"
+        f"{policy.slo_ttft_s * 1e3:.1f} ms, e2e {policy.slo_e2e_s * 1e3:.1f} ms"
     )
     rows = [_scheduler_row("continuous batching", result)]
     if fifo_result is not None:
@@ -921,21 +1023,13 @@ def cmd_serve_sim(args) -> int:
     return _finish_telemetry(args)
 
 
-def _csv_ints(text: str, flag: str) -> List[int]:
+def _csv(text: str, flag: str, kind=float) -> list:
+    """A comma-separated ``kind`` list flag; ValueError when malformed or empty."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} must name at least one value")
-    return values
-
-
-def _csv_floats(text: str, flag: str) -> List[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects comma-separated {noun}, got {text!r}")
     if not values:
         raise ValueError(f"{flag} must name at least one value")
     return values
@@ -943,28 +1037,14 @@ def _csv_floats(text: str, flag: str) -> List[float]:
 
 def cmd_serve_cluster(args) -> int:
     """Cluster-scale serving: replicated/sharded scheduling with routing."""
-    from .baselines import wimpy_host
     from .cluster import (ROUTER_POLICIES, ClusterScheduler, ReplicaFailure,
                           cluster_load_sweep, failures_from_fault_plan)
-    from .engine import (GenerationServer, Request, RequestScheduler,
-                         SchedulerPolicy, poisson_requests)
     from .resilience import FaultPlan
 
-    config = EVAL_MODELS[args.model]
     try:
-        config = _apply_layers_override(config, args.layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    platform = get_platform(args.platform)
-    server = GenerationServer(
-        platform, wimpy_host(), v=args.v, ct=args.ct, lut_nn=not args.native,
-    )
-
-    try:
-        replica_counts = _csv_ints(args.replicas, "--replicas")
-        shard_counts = _csv_ints(args.shards, "--shards")
-        utilizations = _csv_floats(args.utilization, "--utilization")
+        replica_counts = _csv(args.replicas, "--replicas", int)
+        shard_counts = _csv(args.shards, "--shards", int)
+        utilizations = _csv(args.utilization, "--utilization")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -976,37 +1056,12 @@ def cmd_serve_cluster(args) -> int:
               f"(known: {known})", file=sys.stderr)
         return 2
 
-    probe = Request(
-        request_id=-1, arrival_s=0.0, prompt_len=args.prompt_len,
-        generate_len=args.generate_len, batch=args.batch,
-    )
-    # SLO defaults mirror serve-sim: 2.5x the unloaded single-replica
-    # request, so goodput is comparable between the two commands.
-    prescheduler = RequestScheduler(server, config)
-    service_s = prescheduler.fifo_service_time(probe)
-    unloaded_ttft_s = prescheduler.cost.prefill_s(args.prompt_len, args.batch)
-    try:
-        slo_ttft_s = _resolve_slo_s(
-            args.slo_ttft_ms, 2.5 * unloaded_ttft_s, "--slo-ttft-ms")
-        slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    setup = _serving_setup(args)
+    if setup is None:
         return 2
-    policy = SchedulerPolicy(
-        max_batch_size=args.max_batch,
-        max_context_tokens=args.max_context_tokens,
-        max_queue_len=args.queue_cap,
-        chunked_prefill=args.chunked_prefill,
-        prefill_chunk=args.prefill_chunk,
-        slo_ttft_s=slo_ttft_s,
-        slo_e2e_s=slo_e2e_s,
-    )
+    config, server, service_s = setup.config, setup.server, setup.service_s
 
     if args.sweep:
-        if args.rate is not None:
-            print("error: --sweep derives rates from --utilization; "
-                  "--rate is single-run only", file=sys.stderr)
-            return 2
         try:
             points = cluster_load_sweep(
                 server, config,
@@ -1018,24 +1073,21 @@ def cmd_serve_cluster(args) -> int:
                 prompt_len=args.prompt_len,
                 generate_len=args.generate_len,
                 batch=args.batch,
-                policy=policy,
+                policy=setup.policy,
                 arrivals=args.arrivals,
                 seed=args.seed,
                 sessions=args.sessions,
             )
         except ValueError as exc:
-            # e.g. a non-positive --utilization cell: the sweep validates
-            # every value upfront before simulating anything.
+            # e.g. a non-positive --utilization cell or a --shards value
+            # below 1: the sweep validates every value upfront before
+            # simulating anything.
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.json:
-            _print_json({
-                "model": config.name,
-                "platform": args.platform,
-                "fifo_service_time_s": service_s,
-                "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-                "points": [p.to_jsonable() for p in points],
-            })
+            _print_serving_json(
+                args, setup, points=[p.to_jsonable() for p in points]
+            )
             return _finish_telemetry(args, clusters=[p.result for p in points])
         print(
             f"{config.name} on {args.platform}: {args.requests} requests per "
@@ -1081,53 +1133,31 @@ def cmd_serve_cluster(args) -> int:
             print("error: --fail-ranks needs --fail-at", file=sys.stderr)
             return 2
         try:
-            ranks = _csv_ints(args.fail_ranks, "--fail-ranks")
+            ranks = _csv(args.fail_ranks, "--fail-ranks", int)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         plan = FaultPlan(seed=args.seed, failed_ranks=tuple(ranks))
         failures.extend(
-            failures_from_fault_plan(plan, args.fail_at, platform.ranks)
+            failures_from_fault_plan(plan, args.fail_at, server.platform.ranks)
         )
 
-    if args.rate is not None:
-        if args.rate <= 0:
-            print(f"error: --rate must be positive, got {args.rate}",
-                  file=sys.stderr)
-            return 2
-        rate = args.rate
-    else:
-        if utilizations[0] <= 0:
-            print(f"error: --utilization must be positive, got "
-                  f"{utilizations[0]}", file=sys.stderr)
-            return 2
-        rate = utilizations[0] / service_s
-
-    stream = poisson_requests(
-        args.requests, rate,
-        prompt_len=args.prompt_len, generate_len=args.generate_len,
-        batch=args.batch, arrivals=args.arrivals, seed=args.seed,
-        sessions=args.sessions,
-    )
     try:
+        rate = _offered_rate(args.rate, utilizations[0], service_s)
         cluster = ClusterScheduler(
-            server, config, replicas=replicas, shards=shards, policy=policy,
-            router=router, failures=failures, seed=args.seed,
+            server, config, replicas=replicas, shards=shards,
+            policy=setup.policy, router=router, failures=failures,
+            seed=args.seed,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = cluster.run(stream)
+    result = cluster.run(_request_stream(args, rate, sessions=args.sessions))
 
     if args.json:
-        _print_json({
-            "model": config.name,
-            "platform": args.platform,
-            "arrival_rate_rps": rate,
-            "fifo_service_time_s": service_s,
-            "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-            "cluster": result.to_jsonable(),
-        })
+        _print_serving_json(
+            args, setup, arrival_rate_rps=rate, cluster=result.to_jsonable()
+        )
         return _finish_telemetry(args, clusters=[result])
 
     print(
@@ -1172,24 +1202,9 @@ def cmd_serve_cluster(args) -> int:
 
 def cmd_serve_disagg(args) -> int:
     """Disaggregated prefill/decode serving: placement-policy comparison."""
-    from .baselines import prefill_host, wimpy_host
-    from .engine import (PLACEMENT_POLICIES, DisaggScheduler, GenerationServer,
-                         HostPrefillPool, Request, SchedulerPolicy,
-                         disagg_load_sweep, poisson_requests)
-
-    config = EVAL_MODELS[args.model]
-    try:
-        config = _apply_layers_override(config, args.layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    server = GenerationServer(
-        get_platform(args.platform), wimpy_host(), v=args.v, ct=args.ct,
-        lut_nn=not args.native,
-    )
-    prefill_server = None
-    if args.prefill_device == "host":
-        prefill_server = HostPrefillPool(prefill_host())
+    from .baselines import prefill_host
+    from .engine import (PLACEMENT_POLICIES, DisaggScheduler, HostPrefillPool,
+                         disagg_load_sweep)
 
     try:
         placements = [
@@ -1204,72 +1219,40 @@ def cmd_serve_disagg(args) -> int:
               f"(known: {known})", file=sys.stderr)
         return 2
 
-    probe = Request(
-        request_id=-1, arrival_s=0.0, prompt_len=args.prompt_len,
-        generate_len=args.generate_len, batch=args.batch,
-    )
-    # SLO defaults mirror serve-sim (2.5x the unloaded colocated request),
-    # so goodput is comparable across the three commands.
-    prescheduler = DisaggScheduler(
-        server, config, placement="colocated", prefill_server=prefill_server,
-    )
-    service_s = prescheduler.fifo_service_time(probe)
-    unloaded_ttft_s = prescheduler.cost.prefill_s(args.prompt_len, args.batch)
-    try:
-        slo_ttft_s = _resolve_slo_s(
-            args.slo_ttft_ms, 2.5 * unloaded_ttft_s, "--slo-ttft-ms")
-        slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    setup = _serving_setup(args)
+    if setup is None:
         return 2
-    policy = SchedulerPolicy(
-        max_batch_size=args.max_batch,
-        max_context_tokens=args.max_context_tokens,
-        max_queue_len=args.queue_cap,
-        chunked_prefill=args.chunked_prefill,
-        prefill_chunk=args.prefill_chunk,
-        slo_ttft_s=slo_ttft_s,
-        slo_e2e_s=slo_e2e_s,
-    )
+    config, server, service_s = setup.config, setup.server, setup.service_s
+    prefill_server = None
+    if args.prefill_device == "host":
+        prefill_server = HostPrefillPool(prefill_host())
 
     if args.sweep:
-        if args.rate is not None:
-            print("error: --sweep derives rates from --utilization; "
-                  "--rate is single-run only", file=sys.stderr)
-            return 2
-        try:
-            utilizations = _csv_floats(args.utilization, "--utilization")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         try:
             points = disagg_load_sweep(
                 server, config,
                 placements=placements,
-                utilizations=utilizations,
+                utilizations=_csv(args.utilization, "--utilization"),
                 num_requests=args.requests,
                 prompt_len=args.prompt_len,
                 generate_len=args.generate_len,
                 batch=args.batch,
-                policy=policy,
+                policy=setup.policy,
                 prefill_server=prefill_server,
                 arrivals=args.arrivals,
                 seed=args.seed,
             )
         except ValueError as exc:
-            # e.g. a non-positive --utilization cell: the sweep validates
-            # every value upfront before simulating anything.
+            # e.g. a malformed or non-positive --utilization cell: the
+            # sweep validates every value upfront before simulating
+            # anything.
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.json:
-            _print_json({
-                "model": config.name,
-                "platform": args.platform,
-                "prefill_device": args.prefill_device,
-                "fifo_service_time_s": service_s,
-                "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-                "points": [p.to_jsonable() for p in points],
-            })
+            _print_serving_json(
+                args, setup, prefill_device=args.prefill_device,
+                points=[p.to_jsonable() for p in points],
+            )
             return _finish_telemetry(
                 args, schedules=[p.result for p in points]
             )
@@ -1302,55 +1285,33 @@ def cmd_serve_disagg(args) -> int:
         print("error: multiple --placement values need --sweep",
               file=sys.stderr)
         return 2
-    if args.rate is not None:
-        if args.rate <= 0:
-            print(f"error: --rate must be positive, got {args.rate}",
-                  file=sys.stderr)
-            return 2
-        rate = args.rate
-    else:
-        try:
-            utilizations = _csv_floats(args.utilization, "--utilization")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if len(utilizations) > 1:
-            print("error: multiple --utilization values need --sweep",
-                  file=sys.stderr)
-            return 2
-        if utilizations[0] <= 0:
-            print(f"error: --utilization must be positive, got "
-                  f"{utilizations[0]}", file=sys.stderr)
-            return 2
-        rate = utilizations[0] / service_s
+    try:
+        utilization = None
+        if args.rate is None:
+            utilizations = _csv(args.utilization, "--utilization")
+            if len(utilizations) > 1:
+                raise ValueError("multiple --utilization values need --sweep")
+            utilization = utilizations[0]
+        rate = _offered_rate(args.rate, utilization, service_s)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     scheduler = DisaggScheduler(
-        server, config, policy=policy, placement=placements[0],
+        server, config, policy=setup.policy, placement=placements[0],
         prefill_server=prefill_server,
     )
-    scheduler.cost = prescheduler.cost  # reuse the probe's tuned costs
+    scheduler.cost = setup.cost  # reuse the probe's tuned costs
     if prefill_server is None:
-        scheduler.prefill_cost = prescheduler.cost
-    else:
-        scheduler.prefill_cost = prescheduler.prefill_cost
-    stream = poisson_requests(
-        args.requests, rate,
-        prompt_len=args.prompt_len, generate_len=args.generate_len,
-        batch=args.batch, arrivals=args.arrivals, seed=args.seed,
-    )
-    result = scheduler.run(stream)
+        scheduler.prefill_cost = setup.cost
+    result = scheduler.run(_request_stream(args, rate))
 
     if args.json:
-        _print_json({
-            "model": config.name,
-            "platform": args.platform,
-            "prefill_device": args.prefill_device,
-            "arrival_rate_rps": rate,
-            "fifo_service_time_s": service_s,
-            "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-            "kv_transfer": scheduler.kv.to_jsonable(),
-            "schedule": result.to_jsonable(),
-        })
+        _print_serving_json(
+            args, setup, prefill_device=args.prefill_device,
+            arrival_rate_rps=rate, kv_transfer=scheduler.kv.to_jsonable(),
+            schedule=result.to_jsonable(),
+        )
         return _finish_telemetry(args, schedules=[result])
 
     print(
@@ -1392,8 +1353,8 @@ def cmd_moe(args) -> int:
     config = EVAL_MODELS[args.model]
     try:
         config = _apply_layers_override(config, args.layers)
-        experts_list = _csv_ints(args.experts, "--experts")
-        topk_list = _csv_ints(args.top_k, "--top-k")
+        experts_list = _csv(args.experts, "--experts", int)
+        topk_list = _csv(args.top_k, "--top-k", int)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1931,78 +1892,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuous-batching serving simulation under a request "
              "arrival stream (TTFT/TPOT percentiles, SLO goodput)",
     )
-    serve_sim.add_argument("--model", default="bert-base",
-                           choices=sorted(EVAL_MODELS))
-    serve_sim.add_argument("--platform", default="upmem",
-                           choices=sorted(PLATFORMS))
-    serve_sim.add_argument("--v", type=int, default=4)
-    serve_sim.add_argument("--ct", type=int, default=16)
-    serve_sim.add_argument("--layers", type=int, default=None, metavar="N",
-                           help="override the model's layer count (quick runs)")
-    serve_sim.add_argument("--native", action="store_true",
-                           help="serve on the native GEMM/GEMV engines "
-                                "instead of LUT-NN")
-    serve_sim.add_argument("--requests", type=int, default=64, metavar="N")
-    serve_sim.add_argument("--prompt-len", type=int, default=128, metavar="N")
-    serve_sim.add_argument("--generate-len", type=int, default=32, metavar="N")
-    serve_sim.add_argument("--batch", type=int, default=1, metavar="N",
-                           help="sequences bundled per request (batch hint)")
-    serve_sim.add_argument("--arrivals", choices=["poisson", "uniform"],
-                           default="poisson")
-    serve_sim.add_argument("--seed", type=int, default=0)
-    serve_sim.add_argument("--rate", type=float, default=None, metavar="RPS",
-                           help="offered arrival rate; default derives from "
-                                "--utilization")
-    serve_sim.add_argument("--utilization", type=float, default=0.8,
-                           metavar="RHO",
-                           help="offered load as a fraction of the FIFO "
-                                "service rate (may exceed 1 to overload "
-                                "the FIFO baseline)")
-    serve_sim.add_argument("--max-batch", type=int, default=8, metavar="N",
-                           help="sequences decoding concurrently")
-    serve_sim.add_argument("--max-context-tokens", type=int, default=1 << 20,
-                           metavar="N", help="KV-token cap across the batch")
-    serve_sim.add_argument("--queue-cap", type=int, default=1024, metavar="N",
-                           help="bounded wait queue; overflow rejects")
-    serve_sim.add_argument("--chunked-prefill", action="store_true",
-                           help="interleave prompt prefill in chunks with "
-                                "decode steps")
-    serve_sim.add_argument("--prefill-chunk", type=int, default=128,
-                           metavar="N", help="tokens prefilled per step "
-                                             "under --chunked-prefill")
-    serve_sim.add_argument("--slo-ttft-ms", type=float, default=None,
-                           metavar="MS",
-                           help="TTFT SLO (default: 2.5x unloaded prefill)")
-    serve_sim.add_argument("--slo-e2e-ms", type=float, default=None,
-                           metavar="MS",
-                           help="end-to-end SLO (default: 2.5x unloaded "
-                                "request)")
+    _add_serving_arguments(
+        serve_sim, requests=64, generate_len=32, utilization=0.8,
+        utilization_help="offered load as a fraction of the FIFO service "
+                         "rate (may exceed 1 to overload the FIFO baseline)",
+        attribution_help="print per-phase bottleneck attribution per "
+                         "request class (prefill / decode)",
+    )
     serve_sim.add_argument("--compare-fifo", action="store_true",
                            help="also run the identical stream through the "
                                 "single-server FIFO (batch-1) discipline")
-    serve_sim.add_argument("--json", action="store_true",
-                           help="machine-readable output")
-    serve_sim.add_argument("--attribution", action="store_true",
-                           help="print per-phase bottleneck attribution per "
-                                "request class (prefill / decode)")
-    _add_telemetry_arguments(serve_sim)
 
     serve_cluster = sub.add_parser(
         "serve-cluster",
         help="cluster-scale serving simulation: replicated/sharded "
              "scheduling with pluggable routing and replica failover",
     )
-    serve_cluster.add_argument("--model", default="bert-base",
-                               choices=sorted(EVAL_MODELS))
-    serve_cluster.add_argument("--platform", default="upmem",
-                               choices=sorted(PLATFORMS))
-    serve_cluster.add_argument("--v", type=int, default=4)
-    serve_cluster.add_argument("--ct", type=int, default=16)
-    serve_cluster.add_argument("--layers", type=int, default=None, metavar="N",
-                               help="override the model's layer count")
-    serve_cluster.add_argument("--native", action="store_true",
-                               help="serve on the native GEMM/GEMV engines "
-                                    "instead of LUT-NN")
+    _add_serving_arguments(
+        serve_cluster, requests=128, generate_len=32, utilization="0.8",
+        utilization_help="offered load vs ONE unsharded replica's FIFO "
+                         "rate; >1 overloads a single replica (comma list "
+                         "with --sweep)",
+        attribution_help="print cluster-level bottleneck attribution",
+    )
     serve_cluster.add_argument("--replicas", default="2", metavar="N[,N...]",
                                help="replica count (comma list with --sweep)")
     serve_cluster.add_argument("--shards", default="1", metavar="N[,N...]",
@@ -2013,51 +1925,13 @@ def build_parser() -> argparse.ArgumentParser:
                                help="routing policy: round-robin, "
                                     "least-loaded, p2c, session-affinity "
                                     "(comma list with --sweep)")
-    serve_cluster.add_argument("--requests", type=int, default=128,
-                               metavar="N")
-    serve_cluster.add_argument("--prompt-len", type=int, default=128,
-                               metavar="N")
-    serve_cluster.add_argument("--generate-len", type=int, default=32,
-                               metavar="N")
-    serve_cluster.add_argument("--batch", type=int, default=1, metavar="N",
-                               help="sequences bundled per request")
     serve_cluster.add_argument("--sessions", type=int, default=None,
                                metavar="N",
                                help="tag requests with N client sessions "
                                     "(for session-affinity routing)")
-    serve_cluster.add_argument("--arrivals", choices=["poisson", "uniform"],
-                               default="poisson")
-    serve_cluster.add_argument("--seed", type=int, default=0)
-    serve_cluster.add_argument("--rate", type=float, default=None,
-                               metavar="RPS",
-                               help="offered arrival rate (single run only; "
-                                    "default derives from --utilization)")
-    serve_cluster.add_argument("--utilization", default="0.8",
-                               metavar="RHO[,RHO...]",
-                               help="offered load vs ONE unsharded replica's "
-                                    "FIFO rate; >1 overloads a single "
-                                    "replica (comma list with --sweep)")
     serve_cluster.add_argument("--sweep", action="store_true",
                                help="sweep replicas x shards x routers x "
                                     "utilization on identical streams")
-    serve_cluster.add_argument("--max-batch", type=int, default=8,
-                               metavar="N")
-    serve_cluster.add_argument("--max-context-tokens", type=int,
-                               default=1 << 20, metavar="N")
-    serve_cluster.add_argument("--queue-cap", type=int, default=1024,
-                               metavar="N",
-                               help="per-replica wait queue; overflow rejects")
-    serve_cluster.add_argument("--chunked-prefill", action="store_true")
-    serve_cluster.add_argument("--prefill-chunk", type=int, default=128,
-                               metavar="N")
-    serve_cluster.add_argument("--slo-ttft-ms", type=float, default=None,
-                               metavar="MS",
-                               help="TTFT SLO (default: 2.5x unloaded "
-                                    "prefill)")
-    serve_cluster.add_argument("--slo-e2e-ms", type=float, default=None,
-                               metavar="MS",
-                               help="end-to-end SLO (default: 2.5x unloaded "
-                                    "request)")
     serve_cluster.add_argument("--fail", action="append", metavar="R@T",
                                help="kill replica R at T seconds "
                                     "(repeatable)")
@@ -2069,12 +1943,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cluster.add_argument("--fail-at", type=float, default=None,
                                metavar="S",
                                help="failure instant for --fail-ranks")
-    serve_cluster.add_argument("--json", action="store_true",
-                               help="machine-readable output")
-    serve_cluster.add_argument("--attribution", action="store_true",
-                               help="print cluster-level bottleneck "
-                                    "attribution")
-    _add_telemetry_arguments(serve_cluster)
 
     serve_disagg = sub.add_parser(
         "serve-disagg",
@@ -2082,17 +1950,17 @@ def build_parser() -> argparse.ArgumentParser:
              "decode pools joined by a KV-transfer cost, with pluggable "
              "placement policies",
     )
-    serve_disagg.add_argument("--model", default="bert-base",
-                              choices=sorted(EVAL_MODELS))
-    serve_disagg.add_argument("--platform", default="upmem",
-                              choices=sorted(PLATFORMS))
-    serve_disagg.add_argument("--v", type=int, default=4)
-    serve_disagg.add_argument("--ct", type=int, default=16)
-    serve_disagg.add_argument("--layers", type=int, default=None, metavar="N",
-                              help="override the model's layer count")
-    serve_disagg.add_argument("--native", action="store_true",
-                              help="serve on the native GEMM/GEMV engines "
-                                   "instead of LUT-NN")
+    _add_serving_arguments(
+        serve_disagg, requests=96, generate_len=64,
+        utilization="0.8,1.2,1.6",
+        utilization_help="offered load vs the colocated FIFO rate; >1 "
+                         "overloads the colocated engine (comma list with "
+                         "--sweep)",
+        attribution_help="print per-phase bottleneck attribution per "
+                         "request class (prefill / decode / kv_transfer)",
+        generate_len_help="decode-heavy default: goodput under overload "
+                          "is decode-bound",
+    )
     serve_disagg.add_argument("--placement",
                               default="colocated,disaggregated,hybrid",
                               metavar="POLICY[,POLICY...]",
@@ -2104,55 +1972,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="prefill pool hardware: a second PIM "
                                    "engine or the compute-configured host "
                                    "roofline")
-    serve_disagg.add_argument("--requests", type=int, default=96, metavar="N")
-    serve_disagg.add_argument("--prompt-len", type=int, default=128,
-                              metavar="N")
-    serve_disagg.add_argument("--generate-len", type=int, default=64,
-                              metavar="N",
-                              help="decode-heavy default: goodput under "
-                                   "overload is decode-bound")
-    serve_disagg.add_argument("--batch", type=int, default=1, metavar="N",
-                              help="sequences bundled per request")
-    serve_disagg.add_argument("--arrivals", choices=["poisson", "uniform"],
-                              default="poisson")
-    serve_disagg.add_argument("--seed", type=int, default=0)
-    serve_disagg.add_argument("--rate", type=float, default=None,
-                              metavar="RPS",
-                              help="offered arrival rate (single run only; "
-                                   "default derives from --utilization)")
-    serve_disagg.add_argument("--utilization", default="0.8,1.2,1.6",
-                              metavar="RHO[,RHO...]",
-                              help="offered load vs the colocated FIFO "
-                                   "rate; >1 overloads the colocated "
-                                   "engine (comma list with --sweep)")
     serve_disagg.add_argument("--sweep", action="store_true",
                               help="sweep placement x utilization on "
                                    "identical seeded streams and SLOs")
-    serve_disagg.add_argument("--max-batch", type=int, default=8,
-                              metavar="N")
-    serve_disagg.add_argument("--max-context-tokens", type=int,
-                              default=1 << 20, metavar="N")
-    serve_disagg.add_argument("--queue-cap", type=int, default=1024,
-                              metavar="N",
-                              help="bounded wait queue; overflow rejects")
-    serve_disagg.add_argument("--chunked-prefill", action="store_true")
-    serve_disagg.add_argument("--prefill-chunk", type=int, default=128,
-                              metavar="N")
-    serve_disagg.add_argument("--slo-ttft-ms", type=float, default=None,
-                              metavar="MS",
-                              help="TTFT SLO (default: 2.5x unloaded "
-                                   "prefill)")
-    serve_disagg.add_argument("--slo-e2e-ms", type=float, default=None,
-                              metavar="MS",
-                              help="end-to-end SLO (default: 2.5x unloaded "
-                                   "request)")
-    serve_disagg.add_argument("--json", action="store_true",
-                              help="machine-readable output")
-    serve_disagg.add_argument("--attribution", action="store_true",
-                              help="print per-phase bottleneck attribution "
-                                   "per request class (prefill / decode / "
-                                   "kv_transfer)")
-    _add_telemetry_arguments(serve_disagg)
 
     moe = sub.add_parser(
         "moe",

@@ -27,10 +27,10 @@ The simulation is compositional, in three steps:
 3. **Aggregate.**  Surviving replicas simulate their final substreams
    independently (exact: replicas share no state after routing), and
    cluster percentiles/goodput are recomputed from the union of
-   per-request stats with the same order statistics the single-node
-   scheduler uses.  A 1-replica unsharded cluster is therefore
-   numerically identical to a bare ``RequestScheduler`` run — the parity
-   test in ``tests/test_cluster.py`` pins this to 1e-9.
+   per-request stats by the single-node scheduler's own result builder.
+   A 1-replica unsharded cluster is therefore bit-identical to a bare
+   ``RequestScheduler`` run on every field, ``phase_seconds`` included —
+   the parity tests in ``tests/test_cluster.py`` compare with ``==``.
 
 Caveats, by construction: a failed replica's :class:`ScheduleResult` in
 :attr:`ClusterResult.replica_results` is its *counterfactual full* run
@@ -46,10 +46,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .. import obs
-from ..obs.metrics import Histogram
 from ..engine.scheduler import (
     EngineCostModel,
     Request,
@@ -57,7 +54,11 @@ from ..engine.scheduler import (
     RequestStats,
     ScheduleResult,
     SchedulerPolicy,
-    poisson_requests,
+    _latency_fields,
+    _load_streams,
+    _rejected_stats,
+    _RequestScope,
+    _ServingSummary,
 )
 from ..engine.serving import GenerationServer
 from ..pim.platforms import TransferBandwidth
@@ -141,19 +142,8 @@ class ClusterRequestStats:
         return self.replica < 0
 
 
-def _pct(values: List[float], q: float) -> float:
-    # Same exact order-statistic interpolation RequestScheduler.run uses
-    # (full sample retention), so 1-replica parity is structural.
-    if not values:
-        return 0.0
-    hist = Histogram("cluster.pct", sample_capacity=len(values))
-    for v in values:
-        hist.observe(v)
-    return hist.percentile(q)
-
-
 @dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(_ServingSummary):
     """Aggregate outcome of one cluster run over a request stream."""
 
     router: str
@@ -205,52 +195,12 @@ class ClusterResult:
         denom = self.replicas * self.makespan_s
         return self.busy_s / denom if denom > 0 else 0.0
 
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.slo_attained / self.makespan_s
-
-    @property
-    def slo_attained(self) -> int:
-        good = 0
-        for c in self.requests:
-            if c.shed or c.stats.rejected:
-                continue
-            s = c.stats
-            if (
-                self.policy.slo_ttft_s is not None
-                and s.ttft_s > self.policy.slo_ttft_s
-            ):
-                continue
-            if (
-                self.policy.slo_e2e_s is not None
-                and s.e2e_s > self.policy.slo_e2e_s
-            ):
-                continue
-            good += 1
-        return good
+    def _request_stats(self):
+        return (c.stats for c in self.requests)
 
     @property
     def max_queue_depth(self) -> int:
         return max(self.replica_max_queue_depth, default=0)
-
-    def phase_attribution(self, request_class: Optional[str] = None):
-        """Cluster-wide bottleneck attribution (see ``ScheduleResult``)."""
-        from ..obs.profiler import BottleneckReport
-
-        phases: Dict[str, float] = {}
-        for key, seconds in self.phase_seconds.items():
-            cls, _, phase = key.partition("/")
-            if request_class is not None and cls != request_class:
-                continue
-            phase = phase or cls
-            phases[phase] = phases.get(phase, 0.0) + seconds
-        return BottleneckReport.from_phases(phases)
 
     def replica_phase_attribution(
         self, replica: int, request_class: Optional[str] = None
@@ -275,12 +225,7 @@ class ClusterResult:
             "generated_tokens": self.generated_tokens,
             "throughput_rps": self.throughput_rps,
             "goodput_rps": self.goodput_rps,
-            "ttft_s": {"p50": self.ttft_p50_s, "p95": self.ttft_p95_s,
-                       "p99": self.ttft_p99_s},
-            "tpot_s": {"p50": self.tpot_p50_s, "p95": self.tpot_p95_s,
-                       "p99": self.tpot_p99_s},
-            "e2e_s": {"p50": self.e2e_p50_s, "p95": self.e2e_p95_s,
-                      "p99": self.e2e_p99_s, "mean": self.mean_e2e_s},
+            **self._latency_json(),
             "replica_routed": list(self.replica_routed),
             "replica_max_queue_depth": list(self.replica_max_queue_depth),
             "replica_failed_at": list(self.replica_failed_at),
@@ -338,6 +283,8 @@ class ClusterScheduler:
     ):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         self.server = server
         self.config = config
         self.replicas = replicas
@@ -383,37 +330,26 @@ class ClusterScheduler:
 
         self.placement = placement
         self.schedulers: List[RequestScheduler] = []
-        prefill_cost = None
         for r in range(replicas):
-            if placement is not None:
+            if placement is None:
+                sched = RequestScheduler(
+                    server, config, policy=self.policy,
+                    context_bucket=context_bucket, name=f"replica{r}",
+                )
+            else:
                 from ..engine.disagg import DisaggScheduler
 
                 sched = DisaggScheduler(
-                    server,
-                    config,
-                    policy=self.policy,
-                    placement=placement,
-                    prefill_server=prefill_server,
-                    kv_transfer=kv_transfer,
-                    context_bucket=context_bucket,
-                    name=f"replica{r}",
+                    server, config, policy=self.policy, placement=placement,
+                    prefill_server=prefill_server, kv_transfer=kv_transfer,
+                    context_bucket=context_bucket, name=f"replica{r}",
                 )
-                sched.cost = self.cost  # share the memoized engine costs
+                # Share one prefill-pool cost memo across replicas.
                 if prefill_server is None:
                     sched.prefill_cost = self.cost
-                elif prefill_cost is None:
-                    prefill_cost = sched.prefill_cost
-                else:
-                    sched.prefill_cost = prefill_cost
-            else:
-                sched = RequestScheduler(
-                    server,
-                    config,
-                    policy=self.policy,
-                    context_bucket=context_bucket,
-                    name=f"replica{r}",
-                )
-                sched.cost = self.cost  # share the memoized engine costs
+                elif r:
+                    sched.prefill_cost = self.schedulers[0].prefill_cost
+            sched.cost = self.cost  # share the memoized engine costs
             self.schedulers.append(sched)
 
     # ------------------------------------------------------------------
@@ -532,52 +468,38 @@ class ClusterScheduler:
                 registry.counter("cluster.failovers").inc()
                 assign(replace(req, arrival_s=t_f), t_f, failed_from=rep)
 
-        ledger = None
-        cluster_scope = None
-        if self.server.resilience is not None and self.server.resilience.active:
-            ledger = self.server.resilience.ledger
-            cluster_scope = ledger.open_request_scope("cluster.run")
-
-        try:
-            with tracer.span(
-                "cluster.run",
-                replicas=R,
-                shards=self.shards,
-                router=self.router.name,
-                requests=len(ordered),
-            ) as run_span:
-                # Route arrivals in time order, interleaving failures.
-                pending = list(self.failures)
-                fi = 0
-                for req in ordered:
-                    while fi < len(pending) and pending[fi].at_s <= req.arrival_s:
-                        process_failure(pending[fi].replica, pending[fi].at_s)
-                        fi += 1
-                    assign(req, req.arrival_s, failed_from=None)
-                while fi < len(pending):
+        with _RequestScope(self.server, "cluster.run") as scope, tracer.span(
+            "cluster.run",
+            replicas=R,
+            shards=self.shards,
+            router=self.router.name,
+            requests=len(ordered),
+        ) as run_span:
+            # Route arrivals in time order, interleaving failures.
+            pending = list(self.failures)
+            fi = 0
+            for req in ordered:
+                while fi < len(pending) and pending[fi].at_s <= req.arrival_s:
                     process_failure(pending[fi].replica, pending[fi].at_s)
                     fi += 1
+                assign(req, req.arrival_s, failed_from=None)
+            while fi < len(pending):
+                process_failure(pending[fi].replica, pending[fi].at_s)
+                fi += 1
 
-                # Simulate surviving replicas on their final substreams.
-                for rep in range(R):
-                    if rep in fail_at:
-                        continue
-                    with tracer.span("cluster.replica", replica=rep):
-                        res = self.schedulers[rep].run(assignments[rep])
-                    results[rep] = res
-                    for s in res.requests:
-                        final[s.request_id] = (rep, s)
+            # Simulate surviving replicas on their final substreams.
+            for rep in range(R):
+                if rep in fail_at:
+                    continue
+                with tracer.span("cluster.replica", replica=rep):
+                    res = self.schedulers[rep].run(assignments[rep])
+                results[rep] = res
+                for s in res.requests:
+                    final[s.request_id] = (rep, s)
 
-                run_span.set_attribute("failovers", sum(failover_count.values()))
-                run_span.set_attribute("shed", len(shed_ids))
-        except BaseException:
-            if cluster_scope is not None:
-                ledger.close_request_scope(cluster_scope)
-            raise
-
-        degradation = None
-        if cluster_scope is not None:
-            degradation = ledger.close_request_scope(cluster_scope)
+            run_span.set_attribute("failovers", sum(failover_count.values()))
+            run_span.set_attribute("shed", len(shed_ids))
+        degradation = scope.degradation
 
         # ----------------------------------------------------------
         # Aggregate: union of per-request stats, original arrivals.
@@ -600,16 +522,7 @@ class ClusterScheduler:
                     )
                 cluster_requests.append(
                     ClusterRequestStats(
-                        replica=-1,
-                        failovers=fo,
-                        stats=RequestStats(
-                            request_id=rid,
-                            arrival_s=req.arrival_s,
-                            prompt_len=req.prompt_len,
-                            generate_len=req.generate_len,
-                            batch=req.batch,
-                            rejected=True,
-                        ),
+                        replica=-1, failovers=fo, stats=_rejected_stats(req)
                     )
                 )
 
@@ -645,11 +558,6 @@ class ClusterScheduler:
                     1 for t, _ in res.occupancy_timeline if t <= t_f
                 )
 
-        ttfts = [s.ttft_s for s in done]
-        tpots = [s.tpot_s for s in done if s.generate_len]
-        e2es = [s.e2e_s for s in done]
-        busy_s = busy_total
-
         registry.counter("cluster.runs").inc()
         registry.series("cluster.completed").append(float(len(done)))
 
@@ -664,19 +572,10 @@ class ClusterScheduler:
             failovers=failovers,
             steps=steps_total,
             makespan_s=max(makespans, default=0.0),
-            busy_s=busy_s,
+            busy_s=busy_total,
             prefill_tokens=sum(s.batch * s.prompt_len for s in done),
             generated_tokens=sum(s.batch * s.generate_len for s in done),
-            ttft_p50_s=_pct(ttfts, 50),
-            ttft_p95_s=_pct(ttfts, 95),
-            ttft_p99_s=_pct(ttfts, 99),
-            tpot_p50_s=_pct(tpots, 50),
-            tpot_p95_s=_pct(tpots, 95),
-            tpot_p99_s=_pct(tpots, 99),
-            e2e_p50_s=_pct(e2es, 50),
-            e2e_p95_s=_pct(e2es, 95),
-            e2e_p99_s=_pct(e2es, 99),
-            mean_e2e_s=float(np.mean(e2es)) if e2es else 0.0,
+            **_latency_fields(done),
             replica_results=tuple(results[r] for r in sorted(results)),
             replica_routed=tuple(routed_count),
             replica_max_queue_depth=tuple(max_depth),
@@ -738,24 +637,16 @@ def cluster_load_sweep(
     latency for pool capacity.  Every cell at one load level consumes the
     *identical* seeded stream, so cells are directly comparable.
     """
-    # Validate the whole sweep before simulating anything, with the
-    # explicit non-positive check (never truthiness — 0.0 is an error, not
-    # "use a default"): the same convention `serve-sim` applies to
-    # --rate/--utilization.
-    for rho in utilizations:
-        if rho <= 0.0:
-            raise ValueError(f"utilizations must be positive, got {rho}")
-    probe = Request(
-        request_id=-1,
-        arrival_s=0.0,
-        prompt_len=prompt_len,
-        generate_len=generate_len,
-        batch=batch,
-    )
+    for shards in shard_counts:
+        if shards < 1:
+            raise ValueError(f"shard counts must be >= 1, got {shards}")
     reference = RequestScheduler(
         server, config, policy=policy, context_bucket=context_bucket
     )
-    service_s = reference.fifo_service_time(probe)
+    levels = _load_streams(
+        reference.fifo_service_time, utilizations, num_requests,
+        prompt_len, generate_len, batch, arrivals, seed, sessions=sessions,
+    )
 
     # One shared cost model per shard count: replicas are homogeneous and
     # the sweep amortizes the engine costing across every cell.
@@ -773,18 +664,7 @@ def cluster_load_sweep(
             )
 
     points: List[ClusterSweepPoint] = []
-    for rho in utilizations:
-        rate = rho / service_s
-        stream = poisson_requests(
-            num_requests,
-            rate,
-            prompt_len=prompt_len,
-            generate_len=generate_len,
-            batch=batch,
-            arrivals=arrivals,
-            seed=seed,
-            sessions=sessions,
-        )
+    for rho, rate, stream in levels:
         for shards in shard_counts:
             for replicas in replica_counts:
                 for router in routers:

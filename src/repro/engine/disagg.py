@@ -14,13 +14,16 @@ module models that split:
   identical PIM engine; optionally a host roofline via
   :class:`HostPrefillPool` or any compute-configured server);
 * a **decode pool** — the continuous-batching engine of
-  ``RequestScheduler``, running concurrently with the prefill pool;
+  ``RequestScheduler``, running concurrently with the prefill pool: the
+  same event loop (:func:`~repro.engine.scheduler._serve`), with this
+  module's prefill pool plugged in as its pool hook;
 * an explicit **KV-cache migration** between them, charged through
   :class:`KVTransferModel` as a first-class ``kv_transfer`` phase
   (sibling to the cluster's ``shard_transfer``) whenever a request
   prefills on one pool and decodes on the other;
 * pluggable **placement policies** — ``colocated`` (everything on the
-  decode pool; numerically identical to ``RequestScheduler``),
+  decode pool; ``RequestScheduler``'s results up to the rounding of the
+  phase renormalization below),
   ``disaggregated`` (every prompt on the prefill pool), and ``hybrid``
   (per-request choice from prompt length, the live backlog of both
   pools, and the transfer cost).
@@ -44,8 +47,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..pim.platforms import TransferBandwidth
@@ -55,11 +56,11 @@ from .scheduler import (
     EngineCostModel,
     Request,
     RequestScheduler,
-    RequestStats,
     ScheduleResult,
     SchedulerPolicy,
     _InFlight,
-    poisson_requests,
+    _load_streams,
+    _serve,
 )
 from .serving import GenerationServer
 
@@ -267,17 +268,188 @@ def _normalized_phases(
     return {phase: seconds * scale for phase, seconds in phases.items()}
 
 
-class DisaggScheduler:
+class _PrefillPool:
+    """The FIFO prefill pool of one :meth:`DisaggScheduler.run`.
+
+    The pool hook of the shared serving loop
+    (:func:`repro.engine.scheduler._serve`): it places each queued prompt
+    (:class:`PlacementPolicy`), runs pool prompts FIFO on the prefill
+    pool, and holds their KV migrations in a heap until they join the
+    decode pool's running batch.  Its phases are renormalized per step.
+    """
+
+    normalize = staticmethod(_normalized_phases)
+
+    def __init__(self, sched: "DisaggScheduler"):
+        self.sched = sched
+        self.registry = obs.get_registry()
+        #: Prefill-pool output awaiting a decode-batch slot, FIFO by
+        #: transfer-completion time.
+        self.ready: deque = deque()
+        #: In-flight KV migrations: (ready_at, tiebreak, flight).
+        self.transfers: List[Tuple[float, int, _InFlight]] = []
+        self.transfer_seq = 0
+        self.free_at = 0.0
+        self.busy_s = 0.0
+        self.kv_transfer_s = 0.0
+        self.kv_transfers = 0
+        self.prefill_tokens = 0
+        self.last_finish = 0.0
+        self.timeline: List[Tuple[str, str, float, float]] = []
+
+    def bind(self, phase_totals, add_phases, finish) -> None:
+        self.phase_totals = phase_totals
+        self.add_phases = add_phases
+        self.finish = finish
+
+    def pending(self) -> bool:
+        return bool(self.ready or self.transfers)
+
+    def next_event(self, t: Optional[float]) -> Optional[float]:
+        if self.transfers and (t is None or self.transfers[0][0] < t):
+            return self.transfers[0][0]
+        return t
+
+    def on_step(self, start: float, end: float, seqs: int) -> None:
+        self.timeline.append(("decode_pool", f"step[b={seqs}]", start, end))
+
+    def admit(self, now: float, waiting: deque, running: List[_InFlight]) -> None:
+        sched = self.sched
+        registry = self.registry
+        # Matured KV migrations join the decode-ready queue.
+        while self.transfers and self.transfers[0][0] <= now:
+            _, _, flight = heapq.heappop(self.transfers)
+            self.ready.append(flight)
+        # Admit decode-ready pool output first (its prefill is already
+        # paid), then place from the wait queue.
+        while self.ready and sched._fits(self.ready[0].request, running):
+            running.append(self.ready.popleft())
+            registry.counter("disagg.requests_admitted").inc()
+        while waiting:
+            head = waiting[0]
+            pools = PoolSnapshot(
+                now=now,
+                prefill_pool_backlog_s=max(0.0, self.free_at - now),
+                decode_pool_backlog_s=self._decode_backlog_s(running),
+                pool_prefill_s=sched.prefill_cost.prefill_s(
+                    head.prompt_len, head.batch
+                ),
+                colocated_prefill_s=sched.cost.prefill_s(
+                    head.prompt_len, head.batch
+                ),
+                kv_transfer_s=(
+                    sched.kv.transfer_s(head.prompt_len, head.batch)
+                    if head.generate_len
+                    else 0.0
+                ),
+            )
+            if sched.placement.choose(head, pools) == _POOL:
+                waiting.popleft()
+                registry.counter("disagg.placed_pool").inc()
+                self._place(head, now)
+            elif sched._fits(head, running):
+                waiting.popleft()
+                registry.counter("disagg.placed_colocated").inc()
+                running.append(_InFlight(request=head, admitted_s=now))
+            else:
+                break  # head-of-line blocking, as single-pool
+
+    def _decode_backlog_s(self, running: List[_InFlight]) -> float:
+        """Committed decode-pool work: queued colocated prefills plus the
+        longest in-flight decode tail at today's batch shape (a live
+        estimate — the actual step costs depend on future admissions)."""
+        cost = self.sched.cost
+        backlog = 0.0
+        for f in running:
+            if f.prefill_remaining > 0:
+                backlog += cost.prefill_s(f.prefill_remaining, f.request.batch)
+        decoding = [f for f in running if f.prefill_remaining <= 0]
+        remaining = [
+            f.request.generate_len - f.generated
+            for f in decoding
+            if f.request.generate_len > f.generated
+        ]
+        if remaining:
+            seqs = sum(f.request.batch for f in decoding)
+            total_ctx = sum(f.context_len * f.request.batch for f in decoding)
+            step_s = cost.decode_step_s(seqs, total_ctx / seqs)
+            backlog += max(remaining) * step_s
+        return backlog
+
+    def _place(self, r: Request, at_s: float) -> None:
+        """Run the prompt on the prefill pool and start the migration.
+
+        The pool is FIFO with deterministic durations, so its whole
+        schedule for this job is known at placement time.
+        """
+        sched = self.sched
+        registry = self.registry
+        flight = _InFlight(request=r, admitted_s=at_s)
+        duration = sched.prefill_cost.prefill_s(r.prompt_len, r.batch)
+        start = max(at_s, self.free_at)
+        done = start + duration
+        self.free_at = done
+        self.busy_s += duration
+        self.prefill_tokens += r.prompt_len * r.batch
+        self.add_phases(
+            "prefill",
+            sched.prefill_cost.prefill_phases(r.prompt_len, r.batch),
+            duration,
+        )
+        flight.prefilled = r.prompt_len
+        flight.prefill_done_s = done
+        self.timeline.append(
+            ("prefill_pool", f"prefill req {r.request_id}", start, done)
+        )
+        registry.counter("disagg.pool_prefills").inc()
+        if r.generate_len == 0:
+            # Prefill-only request: done at the pool, no migration.
+            self.last_finish = max(self.last_finish, done)
+            self.finish(flight, done)
+            return
+        migrate_s = sched.kv.transfer_s(r.prompt_len, r.batch)
+        self.kv_transfer_s += migrate_s
+        self.kv_transfers += 1
+        self.phase_totals[KV_TRANSFER_PHASE] = (
+            self.phase_totals.get(KV_TRANSFER_PHASE, 0.0) + migrate_s
+        )
+        registry.counter("disagg.kv_transfers").inc()
+        registry.histogram("disagg.kv_transfer_s").observe(migrate_s)
+        if migrate_s > 0:
+            self.timeline.append(
+                ("kv_transfer", f"kv req {r.request_id}", done, done + migrate_s)
+            )
+        flight.decode_ready = True
+        self.transfer_seq += 1
+        heapq.heappush(
+            self.transfers, (done + migrate_s, self.transfer_seq, flight)
+        )
+
+    def result_fields(self, decode_busy_s: float) -> dict:
+        return dict(
+            busy_s=self.busy_s + decode_busy_s + self.kv_transfer_s,
+            placement=self.sched.placement.name,
+            kv_transfers=self.kv_transfers,
+            kv_transfer_s=self.kv_transfer_s,
+            prefill_pool_busy_s=self.busy_s,
+            decode_pool_busy_s=decode_busy_s,
+            pool_timeline=tuple(self.timeline),
+        )
+
+
+class DisaggScheduler(RequestScheduler):
     """Two-pool discrete-event scheduler with pluggable placement.
 
-    Interface-compatible with
-    :class:`~repro.engine.scheduler.RequestScheduler` (``run``,
+    A :class:`~repro.engine.scheduler.RequestScheduler` (``run``,
     ``fifo_service_time``, a shareable ``cost`` model, ``policy``,
-    ``name``), so the cluster layer can drop it in per replica.  The
-    decode pool replicates the single-engine scheduler's continuous
-    batching exactly; under the ``colocated`` policy no request ever
-    touches the prefill pool, and the simulation is numerically identical
-    to ``RequestScheduler`` (pinned to 1e-9 in ``tests/test_disagg.py``).
+    ``name``) whose run adds a FIFO prefill pool, so the cluster layer can
+    drop it in per replica.  The decode pool is the single-engine
+    scheduler's continuous batching — the same event loop.  Under the
+    ``colocated`` policy no request ever touches the prefill pool, and
+    every result field and per-request stat equals ``RequestScheduler``'s
+    exactly except ``phase_seconds``, which differ by float rounding of
+    the per-step renormalization (pinned to 1e-9 in
+    ``tests/test_disagg.py``).
 
     Parameters
     ----------
@@ -308,11 +480,11 @@ class DisaggScheduler:
         context_bucket: int = 32,
         name: Optional[str] = None,
     ):
-        self.server = server
-        self.config = config
-        self.policy = policy or SchedulerPolicy()
+        super().__init__(
+            server, config, policy=policy, context_bucket=context_bucket,
+            name=name,
+        )
         self.placement = make_placement(placement)
-        self.cost = EngineCostModel(server, config, context_bucket=context_bucket)
         if prefill_server is None:
             # A second identical PIM engine: share the memoized costs.
             self.prefill_cost = self.cost
@@ -328,448 +500,16 @@ class DisaggScheduler:
                 interconnect=server.platform.scatter,
                 kv_dtype_bytes=server.platform.gemm_dtype_bytes,
             )
-        self.name = name
 
-    # ------------------------------------------------------------------
-    # Admission policy (identical to RequestScheduler's)
-    # ------------------------------------------------------------------
-    def _feasible(self, request: Request) -> bool:
-        return (
-            request.batch <= self.policy.max_batch_size
-            and request.total_context <= self.policy.max_context_tokens
-        )
-
-    def _fits(self, request: Request, running: List[_InFlight]) -> bool:
-        seqs = sum(f.request.batch for f in running)
-        tokens = sum(f.request.total_context for f in running)
-        return (
-            seqs + request.batch <= self.policy.max_batch_size
-            and tokens + request.total_context <= self.policy.max_context_tokens
-        )
-
-    # ------------------------------------------------------------------
-    def fifo_service_time(self, request: Request) -> float:
-        """Unbatched colocated service time — the same normalization
-        ``RequestScheduler`` uses, so load levels are comparable across
-        placement policies."""
-        total = self.cost.prefill_s(request.prompt_len, request.batch)
-        for step in range(request.generate_len):
-            total += self.cost.decode_step_s(
-                request.batch, request.prompt_len + step
-            )
-        return total
-
-    # ------------------------------------------------------------------
-    def _decode_backlog_s(self, running: List[_InFlight]) -> float:
-        """Committed decode-pool work: queued colocated prefills plus the
-        longest in-flight decode tail at today's batch shape (a live
-        estimate — the actual step costs depend on future admissions)."""
-        backlog = 0.0
-        for f in running:
-            if f.prefill_remaining > 0:
-                backlog += self.cost.prefill_s(
-                    f.prefill_remaining, f.request.batch
-                )
-        decoding = [f for f in running if f.prefill_remaining <= 0]
-        remaining = [
-            f.request.generate_len - f.generated
-            for f in decoding
-            if f.request.generate_len > f.generated
-        ]
-        if remaining:
-            seqs = sum(f.request.batch for f in decoding)
-            total_ctx = sum(f.context_len * f.request.batch for f in decoding)
-            step_s = self.cost.decode_step_s(seqs, total_ctx / seqs)
-            backlog += max(remaining) * step_s
-        return backlog
-
-    # ------------------------------------------------------------------
-    # The event loop
-    # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Simulate the stream across both pools; see the module docstring."""
-        policy = self.policy
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-
-        ledger = None
-        scope = None
-        if self.server.resilience is not None and self.server.resilience.active:
-            ledger = self.server.resilience.ledger
-            owner = f"disagg.run[{self.name}]" if self.name else "disagg.run"
-            scope = ledger.open_request_scope(owner)
-
-        waiting: deque = deque()
-        running: List[_InFlight] = []
-        #: Prefill-pool output awaiting a decode-batch slot, FIFO by
-        #: transfer-completion time.
-        ready: deque = deque()
-        #: In-flight KV migrations: (ready_at, tiebreak, flight).
-        transfers: List[Tuple[float, int, _InFlight]] = []
-        stats: Dict[int, RequestStats] = {}
-        rejected = 0
-        steps = 0
-        pool_busy_s = 0.0
-        decode_busy_s = 0.0
-        kv_transfer_s = 0.0
-        kv_transfers = 0
-        prefill_tokens = 0
-        generated_tokens = 0
-        occupancy: List[Tuple[float, float]] = []
-        occupancy_weighted = 0.0
-        peak_occupancy = 0
-        timeline: List[Tuple[str, str, float, float]] = []
-        phase_totals: Dict[str, float] = {}
-        pool_free_at = 0.0
-        last_finish = 0.0
-        now = 0.0
-        idx = 0
-        transfer_seq = 0
-
-        def add_phases(
-            request_class: str, phases: Dict[str, float], duration_s: float
-        ) -> None:
-            for phase, seconds in _normalized_phases(phases, duration_s).items():
-                key = f"{request_class}/{phase}"
-                phase_totals[key] = phase_totals.get(key, 0.0) + seconds
-
-        def finish(flight: _InFlight, when: float) -> None:
-            nonlocal generated_tokens, last_finish
-            r = flight.request
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                admitted_s=flight.admitted_s,
-                prefill_done_s=flight.prefill_done_s,
-                first_token_s=(
-                    flight.first_token_s
-                    if flight.first_token_s is not None
-                    else flight.prefill_done_s
-                ),
-                finished_s=when,
-            )
-            last_finish = max(last_finish, when)
-            registry.counter("disagg.requests_completed").inc()
-            registry.histogram("disagg.ttft_s").observe(
-                stats[r.request_id].ttft_s
-            )
-            registry.histogram("disagg.e2e_s").observe(stats[r.request_id].e2e_s)
-
-        def reject(r: Request) -> None:
-            nonlocal rejected
-            rejected += 1
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                rejected=True,
-            )
-            registry.counter("disagg.requests_rejected").inc()
-
-        def place_on_pool(r: Request, at_s: float) -> None:
-            """Run the prompt on the prefill pool and start the migration.
-
-            The pool is FIFO with deterministic durations, so its whole
-            schedule for this job is known at placement time.
-            """
-            nonlocal pool_free_at, pool_busy_s, kv_transfer_s, kv_transfers
-            nonlocal prefill_tokens, transfer_seq
-            flight = _InFlight(request=r, admitted_s=at_s)
-            duration = self.prefill_cost.prefill_s(r.prompt_len, r.batch)
-            start = max(at_s, pool_free_at)
-            done = start + duration
-            pool_free_at = done
-            pool_busy_s += duration
-            prefill_tokens += r.prompt_len * r.batch
-            add_phases(
-                "prefill",
-                self.prefill_cost.prefill_phases(r.prompt_len, r.batch),
-                duration,
-            )
-            flight.prefilled = r.prompt_len
-            flight.prefill_done_s = done
-            timeline.append(
-                ("prefill_pool", f"prefill req {r.request_id}", start, done)
-            )
-            registry.counter("disagg.pool_prefills").inc()
-            if r.generate_len == 0:
-                # Prefill-only request: done at the pool, no migration.
-                finish(flight, done)
-                return
-            migrate_s = self.kv.transfer_s(r.prompt_len, r.batch)
-            kv_transfer_s += migrate_s
-            kv_transfers += 1
-            phase_totals[KV_TRANSFER_PHASE] = (
-                phase_totals.get(KV_TRANSFER_PHASE, 0.0) + migrate_s
-            )
-            registry.counter("disagg.kv_transfers").inc()
-            registry.histogram("disagg.kv_transfer_s").observe(migrate_s)
-            if migrate_s > 0:
-                timeline.append(
-                    ("kv_transfer", f"kv req {r.request_id}", done,
-                     done + migrate_s)
-                )
-            flight.decode_ready = True
-            transfer_seq += 1
-            heapq.heappush(transfers, (done + migrate_s, transfer_seq, flight))
-
-        try:
-            with tracer.span(
-                "disagg.run",
-                model=self.config.name,
-                engine=self.server.name,
-                placement=self.placement.name,
-                requests=len(ordered),
-                max_batch_size=policy.max_batch_size,
-            ) as run_span:
-                while (
-                    idx < len(ordered) or waiting or ready or transfers or running
-                ):
-                    # 1. Move arrivals into the bounded wait queue.
-                    while idx < len(ordered) and ordered[idx].arrival_s <= now:
-                        r = ordered[idx]
-                        idx += 1
-                        if not self._feasible(r):
-                            reject(r)
-                        elif len(waiting) >= policy.max_queue_len:
-                            reject(r)
-                        else:
-                            waiting.append(r)
-                            registry.counter("disagg.requests_queued").inc()
-
-                    # 2. Matured KV migrations join the decode-ready queue.
-                    while transfers and transfers[0][0] <= now:
-                        _, _, flight = heapq.heappop(transfers)
-                        ready.append(flight)
-
-                    # 3. Admit decode-ready pool output first (its prefill
-                    #    is already paid), then place from the wait queue.
-                    while ready and self._fits(ready[0].request, running):
-                        running.append(ready.popleft())
-                        registry.counter("disagg.requests_admitted").inc()
-                    while waiting:
-                        head = waiting[0]
-                        pools = PoolSnapshot(
-                            now=now,
-                            prefill_pool_backlog_s=max(0.0, pool_free_at - now),
-                            decode_pool_backlog_s=self._decode_backlog_s(running),
-                            pool_prefill_s=self.prefill_cost.prefill_s(
-                                head.prompt_len, head.batch
-                            ),
-                            colocated_prefill_s=self.cost.prefill_s(
-                                head.prompt_len, head.batch
-                            ),
-                            kv_transfer_s=(
-                                self.kv.transfer_s(head.prompt_len, head.batch)
-                                if head.generate_len
-                                else 0.0
-                            ),
-                        )
-                        if self.placement.choose(head, pools) == _POOL:
-                            waiting.popleft()
-                            registry.counter("disagg.placed_pool").inc()
-                            place_on_pool(head, now)
-                        elif self._fits(head, running):
-                            waiting.popleft()
-                            registry.counter("disagg.placed_colocated").inc()
-                            running.append(
-                                _InFlight(request=head, admitted_s=now)
-                            )
-                        else:
-                            break  # head-of-line blocking, as single-pool
-
-                    # 4. Execute one decode-pool step (colocated prefill
-                    #    work, then a decode iteration — identical to the
-                    #    single-engine scheduler's step).
-                    decoding = [f for f in running if f.decode_ready]
-                    has_prefill = any(f.prefill_remaining > 0 for f in running)
-                    if running and (decoding or has_prefill):
-                        step_s = 0.0
-                        step_prefill = 0
-                        budget = (
-                            policy.prefill_chunk
-                            if policy.chunked_prefill
-                            else float("inf")
-                        )
-                        prefilling: List[_InFlight] = []
-                        with tracer.span("disagg.step") as sp:
-                            for f in running:
-                                if f.prefill_remaining <= 0 or budget <= 0:
-                                    continue
-                                take = f.prefill_remaining
-                                if policy.chunked_prefill:
-                                    take = min(take, int(budget))
-                                cost_s = self.cost.prefill_s(
-                                    take, f.request.batch
-                                )
-                                step_s += cost_s
-                                add_phases(
-                                    "prefill",
-                                    self.cost.prefill_phases(
-                                        take, f.request.batch
-                                    ),
-                                    cost_s,
-                                )
-                                f.prefilled += take
-                                budget -= take
-                                step_prefill += take * f.request.batch
-                                prefilling.append(f)
-
-                            seqs = sum(f.request.batch for f in decoding)
-                            if seqs:
-                                total_ctx = sum(
-                                    f.context_len * f.request.batch
-                                    for f in decoding
-                                )
-                                decode_s = self.cost.decode_step_s(
-                                    seqs, total_ctx / seqs
-                                )
-                                step_s += decode_s
-                                add_phases(
-                                    "decode",
-                                    self.cost.decode_step_phases(
-                                        seqs, total_ctx / seqs
-                                    ),
-                                    decode_s,
-                                )
-                            sp.set_attribute("batch_seqs", seqs)
-                            sp.set_attribute("prefill_tokens", step_prefill)
-                            sp.set_attribute("model_seconds", step_s)
-
-                        if step_s <= 0.0:
-                            # Freshly prefilled requests become decode-ready
-                            # without consuming time, as in the single pool.
-                            for f in running:
-                                f.decode_ready = (
-                                    f.prefilled >= f.request.prompt_len
-                                )
-                            continue
-
-                        step_start = now
-                        now += step_s
-                        decode_busy_s += step_s
-                        steps += 1
-                        prefill_tokens += step_prefill
-                        timeline.append(
-                            ("decode_pool", f"step[b={seqs}]", step_start, now)
-                        )
-                        registry.counter("disagg.steps").inc()
-                        registry.counter("disagg.prefill_tokens").inc(
-                            step_prefill
-                        )
-                        registry.counter("disagg.decode_tokens").inc(seqs)
-                        generated_tokens += seqs
-
-                        # 5. Post-step bookkeeping.
-                        for f in prefilling:
-                            if (
-                                f.prefill_remaining <= 0
-                                and f.prefill_done_s is None
-                            ):
-                                f.prefill_done_s = now
-                                f.decode_ready = True
-                        for f in decoding:
-                            f.generated += 1
-                            if f.first_token_s is None:
-                                f.first_token_s = now
-                        for f in list(running):
-                            if f.done:
-                                if f.prefill_done_s is None:
-                                    f.prefill_done_s = now
-                                finish(f, now)
-                                running.remove(f)
-
-                        occ = float(sum(f.request.batch for f in running))
-                        occupancy.append((now, occ))
-                        occupancy_weighted += occ * step_s
-                        peak_occupancy = max(peak_occupancy, int(occ))
-                        registry.series("disagg.batch_occupancy").append(occ)
-                        continue
-
-                    # 6. Idle decode pool: jump to the next event.
-                    horizon = []
-                    if idx < len(ordered):
-                        horizon.append(ordered[idx].arrival_s)
-                    if transfers:
-                        horizon.append(transfers[0][0])
-                    if not horizon:
-                        break  # nothing left anywhere
-                    now = max(now, min(horizon))
-
-                run_span.set_attribute("completed", len(stats) - rejected)
-                run_span.set_attribute("rejected", rejected)
-                run_span.set_attribute("kv_transfers", kv_transfers)
-                run_span.set_attribute("model_makespan_s", max(now, last_finish))
-        except BaseException:
-            if scope is not None:
-                ledger.close_request_scope(scope)
-            raise
-
-        degradation = None
-        if scope is not None:
-            degradation = ledger.close_request_scope(scope)
-            if degradation.degraded:
-                registry.counter("disagg.degraded_runs").inc()
-
-        done = [s for s in stats.values() if not s.rejected]
-
-        def pct(values: List[float], q: float) -> float:
-            from ..obs.metrics import Histogram
-
-            if not values:
-                return 0.0
-            hist = Histogram("disagg.pct", sample_capacity=len(values))
-            for v in values:
-                hist.observe(v)
-            return hist.percentile(q)
-
-        ttfts = [s.ttft_s for s in done]
-        tpots = [s.tpot_s for s in done if s.generate_len]
-        e2es = [s.e2e_s for s in done]
-        ordered_stats = tuple(
-            stats[r.request_id] for r in ordered if r.request_id in stats
-        )
-        busy_s = pool_busy_s + decode_busy_s + kv_transfer_s
-        return ScheduleResult(
-            policy=policy,
-            completed=len(done),
-            rejected=rejected,
-            steps=steps,
-            makespan_s=max(now, last_finish),
-            busy_s=busy_s,
-            prefill_tokens=prefill_tokens,
-            generated_tokens=generated_tokens,
-            ttft_p50_s=pct(ttfts, 50),
-            ttft_p95_s=pct(ttfts, 95),
-            ttft_p99_s=pct(ttfts, 99),
-            tpot_p50_s=pct(tpots, 50),
-            tpot_p95_s=pct(tpots, 95),
-            tpot_p99_s=pct(tpots, 99),
-            e2e_p50_s=pct(e2es, 50),
-            e2e_p95_s=pct(e2es, 95),
-            e2e_p99_s=pct(e2es, 99),
-            mean_e2e_s=float(np.mean(e2es)) if e2es else 0.0,
-            mean_batch_occupancy=(
-                occupancy_weighted / decode_busy_s if decode_busy_s > 0 else 0.0
-            ),
-            peak_batch_occupancy=peak_occupancy,
-            occupancy_timeline=tuple(occupancy),
-            requests=ordered_stats,
-            degradation=degradation,
-            phase_seconds=phase_totals,
+        return _serve(self, requests, "disagg", dict(
+            model=self.config.name,
+            engine=self.server.name,
             placement=self.placement.name,
-            kv_transfers=kv_transfers,
-            kv_transfer_s=kv_transfer_s,
-            prefill_pool_busy_s=pool_busy_s,
-            decode_pool_busy_s=decode_busy_s,
-            pool_timeline=tuple(timeline),
-        )
+            requests=len(requests),
+            max_batch_size=self.policy.max_batch_size,
+        ), pool=_PrefillPool(self))
 
 
 @dataclass(frozen=True)
@@ -818,9 +558,6 @@ def disagg_load_sweep(
     engine — the regime where the decode pool's freedom from prefill
     stalls shows up as retained goodput.
     """
-    for rho in utilizations:
-        if rho <= 0.0:
-            raise ValueError(f"utilizations must be positive, got {rho}")
     if not placements:
         raise ValueError("placements must name at least one policy")
 
@@ -847,27 +584,11 @@ def disagg_load_sweep(
             )
         schedulers[sched.placement.name] = sched
 
-    probe = Request(
-        request_id=-1,
-        arrival_s=0.0,
-        prompt_len=prompt_len,
-        generate_len=generate_len,
-        batch=batch,
-    )
-    service_s = shared.fifo_service_time(probe)
-
     points: List[DisaggSweepPoint] = []
-    for rho in utilizations:
-        rate = rho / service_s
-        stream = poisson_requests(
-            num_requests,
-            rate,
-            prompt_len=prompt_len,
-            generate_len=generate_len,
-            batch=batch,
-            arrivals=arrivals,
-            seed=seed,
-        )
+    for rho, rate, stream in _load_streams(
+        shared.fifo_service_time, utilizations, num_requests,
+        prompt_len, generate_len, batch, arrivals, seed,
+    ):
         for name, sched in schedulers.items():
             points.append(
                 DisaggSweepPoint(

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
-from ..obs.metrics import Histogram
+from ..obs.metrics import exact_percentiles
 from ..resilience.recovery import DegradationSummary
 from ..workloads.configs import TransformerConfig
 from .queueing import generate_arrivals
@@ -166,8 +166,114 @@ class RequestStats:
         return self.finished_s - self.arrival_s
 
 
+_QUANTILES = (50, 95, 99)
+
+
+def _latency_fields(done: Sequence[RequestStats]) -> Dict[str, float]:
+    """The TTFT/TPOT/e2e percentile and mean fields over completed requests.
+
+    The one result builder behind :class:`ScheduleResult` and
+    :class:`~repro.cluster.scheduler.ClusterResult`: exact order
+    statistics (:func:`~repro.obs.metrics.exact_percentiles`, the same
+    arithmetic as a fully retained :class:`~repro.obs.metrics.Histogram`)
+    and ``mean_e2e_s`` in ``done``'s order.
+    """
+    series = {
+        "ttft": [s.ttft_s for s in done],
+        "tpot": [s.tpot_s for s in done if s.generate_len],
+        "e2e": [s.e2e_s for s in done],
+    }
+    fields: Dict[str, float] = {}
+    for name, values in series.items():
+        for q, value in zip(_QUANTILES, exact_percentiles(values, _QUANTILES)):
+            fields[f"{name}_p{q}_s"] = value
+    e2es = series["e2e"]
+    fields["mean_e2e_s"] = float(np.mean(e2es)) if e2es else 0.0
+    return fields
+
+
+def _rejected_stats(r: Request) -> RequestStats:
+    return RequestStats(
+        request_id=r.request_id,
+        arrival_s=r.arrival_s,
+        prompt_len=r.prompt_len,
+        generate_len=r.generate_len,
+        batch=r.batch,
+        rejected=True,
+    )
+
+
+class _ServingSummary:
+    """Rates, SLO attainment and attribution shared by the result types.
+
+    Subclasses are dataclasses with ``policy``, ``completed``,
+    ``makespan_s``, ``phase_seconds`` and the :func:`_latency_fields`.
+    """
+
+    def _request_stats(self) -> Iterable[RequestStats]:
+        return self.requests
+
+    @property
+    def throughput_rps(self) -> float:
+        return self.completed / self.makespan_s if self.makespan_s > 0 else 0.0
+
+    @property
+    def goodput_rps(self) -> float:
+        """Completed requests meeting the policy's SLOs, per second.
+
+        Without SLOs in the policy this equals :attr:`throughput_rps`;
+        rejected (and shed) requests never count.
+        """
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.slo_attained / self.makespan_s
+
+    @property
+    def slo_attained(self) -> int:
+        """Completed requests that met both SLOs (all, if none set)."""
+        good = 0
+        for r in self._request_stats():
+            if r.rejected:
+                continue
+            if self.policy.slo_ttft_s is not None and r.ttft_s > self.policy.slo_ttft_s:
+                continue
+            if self.policy.slo_e2e_s is not None and r.e2e_s > self.policy.slo_e2e_s:
+                continue
+            good += 1
+        return good
+
+    def phase_attribution(self, request_class: Optional[str] = None):
+        """Bottleneck attribution of the busy time, per request class.
+
+        ``request_class`` restricts to ``"prefill"`` or ``"decode"``
+        (phase names lose their prefix); ``None`` aggregates both classes
+        into plain phase names.  Returns a
+        :class:`~repro.obs.profiler.BottleneckReport`.
+        """
+        from ..obs.profiler import BottleneckReport
+
+        phases: Dict[str, float] = {}
+        for key, seconds in self.phase_seconds.items():
+            cls, _, phase = key.partition("/")
+            if request_class is not None and cls != request_class:
+                continue
+            phase = phase or cls
+            phases[phase] = phases.get(phase, 0.0) + seconds
+        return BottleneckReport.from_phases(phases)
+
+    def _latency_json(self) -> dict:
+        return {
+            "ttft_s": {"p50": self.ttft_p50_s, "p95": self.ttft_p95_s,
+                       "p99": self.ttft_p99_s},
+            "tpot_s": {"p50": self.tpot_p50_s, "p95": self.tpot_p95_s,
+                       "p99": self.tpot_p99_s},
+            "e2e_s": {"p50": self.e2e_p50_s, "p95": self.e2e_p95_s,
+                      "p99": self.e2e_p99_s, "mean": self.mean_e2e_s},
+        }
+
+
 @dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(_ServingSummary):
     """Aggregate outcome of one scheduler run over a request stream."""
 
     policy: SchedulerPolicy
@@ -230,63 +336,14 @@ class ScheduleResult:
         return self.busy_s / self.makespan_s if self.makespan_s > 0 else 0.0
 
     @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
     def generated_tokens_per_s(self) -> float:
         if self.generated_tokens == 0:
             return 0.0
         return self.generated_tokens / self.makespan_s
 
-    @property
-    def goodput_rps(self) -> float:
-        """Completed requests meeting the policy's SLOs, per second.
-
-        Without SLOs in the policy this equals :attr:`throughput_rps`;
-        rejected requests never count.
-        """
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.slo_attained / self.makespan_s
-
-    @property
-    def slo_attained(self) -> int:
-        """Completed requests that met both SLOs (all, if none set)."""
-        good = 0
-        for r in self.requests:
-            if r.rejected:
-                continue
-            if self.policy.slo_ttft_s is not None and r.ttft_s > self.policy.slo_ttft_s:
-                continue
-            if self.policy.slo_e2e_s is not None and r.e2e_s > self.policy.slo_e2e_s:
-                continue
-            good += 1
-        return good
-
     def sojourn_times(self) -> List[float]:
         """End-to-end latencies of completed requests, in request order."""
         return [r.e2e_s for r in self.requests if not r.rejected]
-
-    def phase_attribution(self, request_class: Optional[str] = None):
-        """Bottleneck attribution of the busy time, per request class.
-
-        ``request_class`` restricts to ``"prefill"`` or ``"decode"``
-        (phase names lose their prefix); ``None`` aggregates both classes
-        into plain phase names.  Returns a
-        :class:`~repro.obs.profiler.BottleneckReport`.
-        """
-        from ..obs.profiler import BottleneckReport
-
-        phases: Dict[str, float] = {}
-        for key, seconds in self.phase_seconds.items():
-            cls, _, phase = key.partition("/")
-            if request_class is not None:
-                if cls != request_class:
-                    continue
-            phase = phase or cls
-            phases[phase] = phases.get(phase, 0.0) + seconds
-        return BottleneckReport.from_phases(phases)
 
     def to_jsonable(self) -> dict:
         return {
@@ -301,12 +358,7 @@ class ScheduleResult:
             "throughput_rps": self.throughput_rps,
             "goodput_rps": self.goodput_rps,
             "generated_tokens_per_s": self.generated_tokens_per_s,
-            "ttft_s": {"p50": self.ttft_p50_s, "p95": self.ttft_p95_s,
-                       "p99": self.ttft_p99_s},
-            "tpot_s": {"p50": self.tpot_p50_s, "p95": self.tpot_p95_s,
-                       "p99": self.tpot_p99_s},
-            "e2e_s": {"p50": self.e2e_p50_s, "p95": self.e2e_p95_s,
-                      "p99": self.e2e_p99_s, "mean": self.mean_e2e_s},
+            **self._latency_json(),
             "mean_batch_occupancy": self.mean_batch_occupancy,
             "peak_batch_occupancy": self.peak_batch_occupancy,
             "phase_seconds": dict(self.phase_seconds),
@@ -439,6 +491,307 @@ class _InFlight:
         )
 
 
+class _RequestScope:
+    """The server ledger's exclusive request scope around one run.
+
+    A no-op unless the server runs resilient (an active
+    :class:`~repro.resilience.recovery.RecoveryManager`); the scope closes
+    on any exit, and after a clean one ``degradation`` holds its slice of
+    the ledger (batch-level accounting — per-request slicing is unsound
+    once requests interleave).
+    """
+
+    def __init__(self, server, owner: str):
+        resilience = server.resilience
+        self.ledger = (
+            resilience.ledger
+            if resilience is not None and resilience.active
+            else None
+        )
+        self.owner = owner
+        self.degradation: Optional[DegradationSummary] = None
+
+    def __enter__(self) -> "_RequestScope":
+        if self.ledger is not None:
+            self.ledger.open_request_scope(self.owner)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.ledger is not None:
+            summary = self.ledger.close_request_scope(self.owner)
+            if exc_type is None:
+                self.degradation = summary
+
+
+def _serve(sched, requests: Sequence[Request], ns: str, span_attrs: dict,
+           pool=None) -> ScheduleResult:
+    """The serving event loop every scheduler flavour runs.
+
+    ``sched`` supplies ``policy``, ``cost``, ``server``, ``name`` and the
+    admission checks; ``ns`` is the telemetry namespace (``scheduler`` or
+    ``disagg``: the ``<ns>.run`` / ``<ns>.step`` spans, ``<ns>.*``
+    counters, histograms and series, and the ledger scope owner), and
+    ``span_attrs`` the ``<ns>.run`` span's opening attributes.
+
+    Each iteration moves arrivals into the bounded wait queue, admits into
+    the running batch, then executes one step on the engine — prefill work
+    of admitted prompts, then one decode iteration of every decode-ready
+    sequence — or, with nothing running, jumps to the next event.
+
+    ``pool`` is an optional second resource feeding the running batch
+    (the disaggregated prefill pool, :mod:`repro.engine.disagg`).  Without
+    it admission is FIFO from the wait queue and step phases accumulate
+    raw.  With it the loop calls ``pool.bind(phase_totals, add_phases,
+    finish)`` once, then ``pool.admit(now, waiting, running)`` in place
+    of FIFO admission, ``pool.normalize(phases, seconds)`` on every phase
+    report, ``pool.on_step(start, end, seqs)`` after every step, and
+    ``pool.pending()`` / ``pool.next_event(t)`` to keep the loop alive
+    and find its next event; ``pool.prefill_tokens``, ``last_finish``,
+    ``kv_transfers`` and ``result_fields(busy_s)`` enter the result.
+    """
+    policy = sched.policy
+    cost = sched.cost
+    registry = obs.get_registry()
+    tracer = obs.get_tracer()
+    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    n_requests = len(ordered)
+    (n_queued, n_admitted, n_completed, n_rejected, n_steps, n_prefill,
+     n_decode, n_occupancy, n_degraded, n_ttft, n_e2e, n_step) = (
+        f"{ns}.{suffix}" for suffix in (
+            "requests_queued", "requests_admitted", "requests_completed",
+            "requests_rejected", "steps", "prefill_tokens", "decode_tokens",
+            "batch_occupancy", "degraded_runs", "ttft_s", "e2e_s", "step",
+        )
+    )
+    # The disagg.* namespace has no TPOT histogram; telemetry names stay fixed.
+    n_tpot = f"{ns}.tpot_s" if pool is None else None
+
+    waiting: deque = deque()
+    running: List[_InFlight] = []
+    stats: Dict[int, RequestStats] = {}
+    rejected = 0
+    steps = 0
+    busy_s = 0.0
+    prefill_tokens = 0
+    generated_tokens = 0
+    occupancy: List[Tuple[float, float]] = []
+    occupancy_weighted = 0.0
+    peak_occupancy = 0
+    now = 0.0
+    idx = 0
+    phase_totals: Dict[str, float] = {}
+    normalize = pool.normalize if pool is not None else None
+
+    def add_phases(
+        request_class: str, phases: Dict[str, float], duration_s: float
+    ) -> None:
+        if normalize is not None:
+            phases = normalize(phases, duration_s)
+        for phase, seconds in phases.items():
+            key = f"{request_class}/{phase}"
+            phase_totals[key] = phase_totals.get(key, 0.0) + seconds
+
+    def finish(flight: _InFlight, when: float) -> None:
+        r = flight.request
+        done = stats[r.request_id] = RequestStats(
+            request_id=r.request_id,
+            arrival_s=r.arrival_s,
+            prompt_len=r.prompt_len,
+            generate_len=r.generate_len,
+            batch=r.batch,
+            admitted_s=flight.admitted_s,
+            prefill_done_s=flight.prefill_done_s,
+            first_token_s=(
+                flight.first_token_s
+                if flight.first_token_s is not None
+                else flight.prefill_done_s
+            ),
+            finished_s=when,
+        )
+        registry.counter(n_completed).inc()
+        registry.histogram(n_ttft).observe(done.ttft_s)
+        registry.histogram(n_e2e).observe(done.e2e_s)
+        if n_tpot is not None and r.generate_len:
+            registry.histogram(n_tpot).observe(done.tpot_s)
+
+    def reject(r: Request) -> None:
+        nonlocal rejected
+        rejected += 1
+        stats[r.request_id] = _rejected_stats(r)
+        registry.counter(n_rejected).inc()
+
+    if pool is not None:
+        pool.bind(phase_totals, add_phases, finish)
+
+    owner = f"{ns}.run[{sched.name}]" if sched.name else f"{ns}.run"
+    with _RequestScope(sched.server, owner) as scope, tracer.span(
+        f"{ns}.run", **span_attrs
+    ) as run_span:
+        while (
+            idx < n_requests or waiting or running
+            or (pool is not None and pool.pending())
+        ):
+            # 1. Move arrivals into the bounded wait queue.
+            while idx < n_requests and ordered[idx].arrival_s <= now:
+                r = ordered[idx]
+                idx += 1
+                if not sched._feasible(r):
+                    reject(r)
+                elif len(waiting) >= policy.max_queue_len:
+                    reject(r)
+                else:
+                    waiting.append(r)
+                    registry.counter(n_queued).inc()
+
+            # 2. Admit into the running batch: from the queue head
+            #    while the batch has room, or through the pool.
+            if pool is None:
+                while waiting and sched._fits(waiting[0], running):
+                    r = waiting.popleft()
+                    running.append(_InFlight(request=r, admitted_s=now))
+                    registry.counter(n_admitted).inc()
+            else:
+                pool.admit(now, waiting, running)
+
+            # 3. Idle: jump to the next event.
+            if not running:
+                nxt = ordered[idx].arrival_s if idx < n_requests else None
+                if pool is not None:
+                    nxt = pool.next_event(nxt)
+                if nxt is None:
+                    break  # waiting is necessarily empty here
+                now = max(now, nxt)
+                continue
+
+            # 4. Execute one scheduler step (serialized on the one
+            #    engine: prefill work, then a decode iteration).
+            step_s = 0.0
+            step_prefill = 0
+            decoding = [f for f in running if f.decode_ready]
+            budget = (
+                policy.prefill_chunk
+                if policy.chunked_prefill
+                else float("inf")
+            )
+            prefilling: List[_InFlight] = []
+            with tracer.span(n_step) as sp:
+                for f in running:
+                    if f.prefill_remaining <= 0 or budget <= 0:
+                        continue
+                    take = f.prefill_remaining
+                    if policy.chunked_prefill:
+                        take = min(take, int(budget))
+                    cost_s = cost.prefill_s(take, f.request.batch)
+                    step_s += cost_s
+                    add_phases(
+                        "prefill",
+                        cost.prefill_phases(take, f.request.batch),
+                        cost_s,
+                    )
+                    f.prefilled += take
+                    budget -= take
+                    step_prefill += take * f.request.batch
+                    prefilling.append(f)
+
+                seqs = sum(f.request.batch for f in decoding)
+                if seqs:
+                    context = (
+                        sum(f.context_len * f.request.batch for f in decoding)
+                        / seqs
+                    )
+                    decode_s = cost.decode_step_s(seqs, context)
+                    step_s += decode_s
+                    add_phases(
+                        "decode",
+                        cost.decode_step_phases(seqs, context),
+                        decode_s,
+                    )
+                sp.set_attribute("batch_seqs", seqs)
+                sp.set_attribute("prefill_tokens", step_prefill)
+                sp.set_attribute("model_seconds", step_s)
+
+            if step_s <= 0.0:
+                # Nothing runnable this step (all admitted requests
+                # are freshly prefilled, none decode-ready yet).
+                for f in running:
+                    f.decode_ready = f.prefilled >= f.request.prompt_len
+                continue
+
+            start = now
+            now += step_s
+            busy_s += step_s
+            steps += 1
+            prefill_tokens += step_prefill
+            if pool is not None:
+                pool.on_step(start, now, seqs)
+
+            registry.counter(n_steps).inc()
+            registry.counter(n_prefill).inc(step_prefill)
+            registry.counter(n_decode).inc(seqs)
+            generated_tokens += seqs
+
+            # 5. Post-step bookkeeping: prefill completions, token
+            #    emissions, request completions.
+            for f in prefilling:
+                if f.prefill_remaining <= 0 and f.prefill_done_s is None:
+                    f.prefill_done_s = now
+                    f.decode_ready = True
+            for f in decoding:
+                f.generated += 1
+                if f.first_token_s is None:
+                    f.first_token_s = now
+            for f in list(running):
+                if f.done:
+                    if f.prefill_done_s is None:
+                        f.prefill_done_s = now
+                    finish(f, now)
+                    running.remove(f)
+
+            occ = float(sum(f.request.batch for f in running))
+            occupancy.append((now, occ))
+            occupancy_weighted += occ * step_s
+            peak_occupancy = max(peak_occupancy, int(occ))
+            registry.series(n_occupancy).append(occ)
+
+        makespan = now if pool is None else max(now, pool.last_finish)
+        run_span.set_attribute("completed", len(stats) - rejected)
+        run_span.set_attribute("rejected", rejected)
+        if pool is not None:
+            run_span.set_attribute("kv_transfers", pool.kv_transfers)
+        run_span.set_attribute("model_makespan_s", makespan)
+    degradation = scope.degradation
+    if degradation is not None and degradation.degraded:
+        registry.counter(n_degraded).inc()
+
+    done = [s for s in stats.values() if not s.rejected]
+    if pool is None:
+        extras = {"busy_s": busy_s}
+    else:
+        prefill_tokens += pool.prefill_tokens
+        extras = pool.result_fields(busy_s)
+    return ScheduleResult(
+        policy=policy,
+        completed=len(done),
+        rejected=rejected,
+        steps=steps,
+        makespan_s=makespan,
+        prefill_tokens=prefill_tokens,
+        generated_tokens=generated_tokens,
+        **_latency_fields(done),
+        mean_batch_occupancy=(
+            occupancy_weighted / busy_s if busy_s > 0 else 0.0
+        ),
+        peak_batch_occupancy=peak_occupancy,
+        occupancy_timeline=tuple(occupancy),
+        requests=tuple(
+            stats[r.request_id] for r in ordered if r.request_id in stats
+        ),
+        degradation=degradation,
+        phase_seconds=phase_totals,
+        **extras,
+    )
+
+
 class RequestScheduler:
     """Discrete-event continuous-batching scheduler over one server.
 
@@ -500,267 +853,15 @@ class RequestScheduler:
             )
         return total
 
-    # ------------------------------------------------------------------
-    # The event loop
-    # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Simulate the stream and return per-request + aggregate stats."""
-        policy = self.policy
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-
-        ledger = None
-        scope = None
-        if self.server.resilience is not None and self.server.resilience.active:
-            ledger = self.server.resilience.ledger
-            owner = (
-                f"scheduler.run[{self.name}]" if self.name else "scheduler.run"
-            )
-            scope = ledger.open_request_scope(owner)
-
-        waiting: deque = deque()
-        running: List[_InFlight] = []
-        stats: Dict[int, RequestStats] = {}
-        rejected = 0
-        steps = 0
-        busy_s = 0.0
-        prefill_tokens = 0
-        generated_tokens = 0
-        occupancy: List[Tuple[float, float]] = []
-        occupancy_weighted = 0.0
-        peak_occupancy = 0
-        now = 0.0
-        idx = 0
-        phase_totals: Dict[str, float] = {}
-
-        def add_phases(request_class: str, phases: Dict[str, float]) -> None:
-            for phase, seconds in phases.items():
-                key = f"{request_class}/{phase}"
-                phase_totals[key] = phase_totals.get(key, 0.0) + seconds
-
-        def finish(flight: _InFlight, when: float) -> None:
-            nonlocal generated_tokens
-            r = flight.request
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                admitted_s=flight.admitted_s,
-                prefill_done_s=flight.prefill_done_s,
-                first_token_s=(
-                    flight.first_token_s
-                    if flight.first_token_s is not None
-                    else flight.prefill_done_s
-                ),
-                finished_s=when,
-            )
-            registry.counter("scheduler.requests_completed").inc()
-            registry.histogram("scheduler.ttft_s").observe(
-                stats[r.request_id].ttft_s
-            )
-            registry.histogram("scheduler.e2e_s").observe(
-                stats[r.request_id].e2e_s
-            )
-            if r.generate_len:
-                registry.histogram("scheduler.tpot_s").observe(
-                    stats[r.request_id].tpot_s
-                )
-
-        def reject(r: Request) -> None:
-            nonlocal rejected
-            rejected += 1
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                rejected=True,
-            )
-            registry.counter("scheduler.requests_rejected").inc()
-
-        try:
-            with tracer.span(
-                "scheduler.run",
-                model=self.config.name,
-                engine=self.server.name,
-                requests=len(ordered),
-                max_batch_size=policy.max_batch_size,
-                chunked_prefill=policy.chunked_prefill,
-            ) as run_span:
-                while idx < len(ordered) or waiting or running:
-                    # 1. Move arrivals into the bounded wait queue.
-                    while idx < len(ordered) and ordered[idx].arrival_s <= now:
-                        r = ordered[idx]
-                        idx += 1
-                        if not self._feasible(r):
-                            reject(r)
-                        elif len(waiting) >= policy.max_queue_len:
-                            reject(r)
-                        else:
-                            waiting.append(r)
-                            registry.counter("scheduler.requests_queued").inc()
-
-                    # 2. Admit from the queue head while the batch has room.
-                    while waiting and self._fits(waiting[0], running):
-                        r = waiting.popleft()
-                        running.append(_InFlight(request=r, admitted_s=now))
-                        registry.counter("scheduler.requests_admitted").inc()
-
-                    # 3. Idle: jump to the next arrival.
-                    if not running:
-                        if idx < len(ordered):
-                            now = max(now, ordered[idx].arrival_s)
-                            continue
-                        break  # waiting is necessarily empty here
-
-                    # 4. Execute one scheduler step (serialized on the one
-                    #    PIM system: prefill work, then a decode iteration).
-                    step_s = 0.0
-                    step_prefill = 0
-                    decoding = [f for f in running if f.decode_ready]
-                    budget = (
-                        policy.prefill_chunk
-                        if policy.chunked_prefill
-                        else float("inf")
-                    )
-                    prefilling: List[_InFlight] = []
-                    with tracer.span("scheduler.step") as sp:
-                        for f in running:
-                            if f.prefill_remaining <= 0 or budget <= 0:
-                                continue
-                            take = f.prefill_remaining
-                            if policy.chunked_prefill:
-                                take = min(take, int(budget))
-                            step_s += self.cost.prefill_s(take, f.request.batch)
-                            add_phases(
-                                "prefill",
-                                self.cost.prefill_phases(take, f.request.batch),
-                            )
-                            f.prefilled += take
-                            budget -= take
-                            step_prefill += take * f.request.batch
-                            prefilling.append(f)
-
-                        seqs = sum(f.request.batch for f in decoding)
-                        if seqs:
-                            total_ctx = sum(
-                                f.context_len * f.request.batch for f in decoding
-                            )
-                            step_s += self.cost.decode_step_s(
-                                seqs, total_ctx / seqs
-                            )
-                            add_phases(
-                                "decode",
-                                self.cost.decode_step_phases(seqs, total_ctx / seqs),
-                            )
-                        sp.set_attribute("batch_seqs", seqs)
-                        sp.set_attribute("prefill_tokens", step_prefill)
-                        sp.set_attribute("model_seconds", step_s)
-
-                    if step_s <= 0.0:
-                        # Nothing runnable this step (all admitted requests
-                        # are freshly prefilled, none decode-ready yet).
-                        for f in running:
-                            f.decode_ready = f.prefilled >= f.request.prompt_len
-                        continue
-
-                    now += step_s
-                    busy_s += step_s
-                    steps += 1
-                    prefill_tokens += step_prefill
-
-                    registry.counter("scheduler.steps").inc()
-                    registry.counter("scheduler.prefill_tokens").inc(step_prefill)
-                    registry.counter("scheduler.decode_tokens").inc(seqs)
-                    generated_tokens += seqs
-
-                    # 5. Post-step bookkeeping: prefill completions, token
-                    #    emissions, request completions.
-                    for f in prefilling:
-                        if f.prefill_remaining <= 0 and f.prefill_done_s is None:
-                            f.prefill_done_s = now
-                            f.decode_ready = True
-                    for f in decoding:
-                        f.generated += 1
-                        if f.first_token_s is None:
-                            f.first_token_s = now
-                    for f in list(running):
-                        if f.done:
-                            if f.prefill_done_s is None:
-                                f.prefill_done_s = now
-                            finish(f, now)
-                            running.remove(f)
-
-                    occ = float(sum(f.request.batch for f in running))
-                    occupancy.append((now, occ))
-                    occupancy_weighted += occ * step_s
-                    peak_occupancy = max(peak_occupancy, int(occ))
-                    registry.series("scheduler.batch_occupancy").append(occ)
-
-                run_span.set_attribute("completed", len(stats) - rejected)
-                run_span.set_attribute("rejected", rejected)
-                run_span.set_attribute("model_makespan_s", now)
-        except BaseException:
-            if scope is not None:
-                ledger.close_request_scope(scope)
-            raise
-
-        degradation = None
-        if scope is not None:
-            degradation = ledger.close_request_scope(scope)
-            if degradation.degraded:
-                registry.counter("scheduler.degraded_runs").inc()
-
-        done = [s for s in stats.values() if not s.rejected]
-
-        def pct(values: List[float], q: float) -> float:
-            # Retaining every sample keeps the percentile exact (identical
-            # to the order-statistic interpolation np.percentile computes).
-            if not values:
-                return 0.0
-            hist = Histogram("scheduler.pct", sample_capacity=len(values))
-            for v in values:
-                hist.observe(v)
-            return hist.percentile(q)
-
-        ttfts = [s.ttft_s for s in done]
-        tpots = [s.tpot_s for s in done if s.generate_len]
-        e2es = [s.e2e_s for s in done]
-        ordered_stats = tuple(
-            stats[r.request_id] for r in ordered if r.request_id in stats
-        )
-        return ScheduleResult(
-            policy=policy,
-            completed=len(done),
-            rejected=rejected,
-            steps=steps,
-            makespan_s=now,
-            busy_s=busy_s,
-            prefill_tokens=prefill_tokens,
-            generated_tokens=generated_tokens,
-            ttft_p50_s=pct(ttfts, 50),
-            ttft_p95_s=pct(ttfts, 95),
-            ttft_p99_s=pct(ttfts, 99),
-            tpot_p50_s=pct(tpots, 50),
-            tpot_p95_s=pct(tpots, 95),
-            tpot_p99_s=pct(tpots, 99),
-            e2e_p50_s=pct(e2es, 50),
-            e2e_p95_s=pct(e2es, 95),
-            e2e_p99_s=pct(e2es, 99),
-            mean_e2e_s=float(np.mean(e2es)) if e2es else 0.0,
-            mean_batch_occupancy=(
-                occupancy_weighted / busy_s if busy_s > 0 else 0.0
-            ),
-            peak_batch_occupancy=peak_occupancy,
-            occupancy_timeline=tuple(occupancy),
-            requests=ordered_stats,
-            degradation=degradation,
-            phase_seconds=phase_totals,
-        )
+        return _serve(self, requests, "scheduler", dict(
+            model=self.config.name,
+            engine=self.server.name,
+            requests=len(requests),
+            max_batch_size=self.policy.max_batch_size,
+            chunked_prefill=self.policy.chunked_prefill,
+        ))
 
 
 def poisson_requests(
@@ -815,6 +916,56 @@ def poisson_requests(
     ]
 
 
+def _load_streams(
+    service_time: Callable[[Request], float],
+    utilizations: Sequence[float],
+    num_requests: int,
+    prompt_len: int,
+    generate_len: int,
+    batch: int,
+    arrivals: str,
+    seed: int,
+    sessions: Optional[int] = None,
+) -> List[Tuple[float, float, List[Request]]]:
+    """``(rho, rate, stream)`` per load level of a serving sweep.
+
+    Load levels are fractions of the FIFO rate of one probe request —
+    ``service_time`` prices it — so ``rho >= 1`` deliberately offers more
+    load than a single-server FIFO can sustain.  Every level draws the
+    same seeded stream shape.  The whole sweep is validated before any
+    pricing: a bad value in the middle of the list must not burn the
+    earlier points first, and the check is an explicit non-positive
+    comparison, never truthiness — ``0.0`` is an error here, not "use a
+    default" (the convention ``serve-sim`` applies to --rate/--utilization).
+    """
+    for rho in utilizations:
+        if rho <= 0.0:
+            raise ValueError(f"utilizations must be positive, got {rho}")
+    probe = Request(
+        request_id=-1,
+        arrival_s=0.0,
+        prompt_len=prompt_len,
+        generate_len=generate_len,
+        batch=batch,
+    )
+    service_s = service_time(probe)
+    levels = []
+    for rho in utilizations:
+        rate = rho / service_s
+        stream = poisson_requests(
+            num_requests,
+            rate,
+            prompt_len=prompt_len,
+            generate_len=generate_len,
+            batch=batch,
+            arrivals=arrivals,
+            seed=seed,
+            sessions=sessions,
+        )
+        levels.append((rho, rate, stream))
+    return levels
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One utilization level of :func:`scheduler_load_sweep`."""
@@ -845,22 +996,6 @@ def scheduler_load_sweep(
     capacity win.  With ``compare_fifo`` each point also runs the identical
     stream through the batch-1 policy.
     """
-    # Validate the whole sweep before simulating anything: a bad value in
-    # the middle of the list must not burn the earlier points first.  The
-    # check is an explicit non-positive comparison, never truthiness —
-    # ``0.0`` is an error here, not "use a default" (the same convention
-    # ``serve-sim`` applies to --rate/--utilization).
-    for rho in utilizations:
-        if rho <= 0.0:
-            raise ValueError(f"utilizations must be positive, got {rho}")
-    probe = Request(
-        request_id=-1,
-        arrival_s=0.0,
-        prompt_len=prompt_len,
-        generate_len=generate_len,
-        batch=batch,
-    )
-    service_s = scheduler.fifo_service_time(probe)
     fifo_sched = RequestScheduler(
         scheduler.server,
         scheduler.config,
@@ -869,25 +1004,16 @@ def scheduler_load_sweep(
     )
     fifo_sched.cost = scheduler.cost  # share the memoized engine costs
     points = []
-    for rho in utilizations:
-        rate = rho / service_s
-        stream = poisson_requests(
-            num_requests,
-            rate,
-            prompt_len=prompt_len,
-            generate_len=generate_len,
-            batch=batch,
-            arrivals=arrivals,
-            seed=seed,
-        )
-        batched = scheduler.run(stream)
-        fifo = fifo_sched.run(stream) if compare_fifo else None
+    for rho, rate, stream in _load_streams(
+        scheduler.fifo_service_time, utilizations, num_requests,
+        prompt_len, generate_len, batch, arrivals, seed,
+    ):
         points.append(
             SweepPoint(
                 target_utilization=float(rho),
                 arrival_rate_rps=rate,
-                batched=batched,
-                fifo=fifo,
+                batched=scheduler.run(stream),
+                fifo=fifo_sched.run(stream) if compare_fifo else None,
             )
         )
     return points

@@ -80,6 +80,27 @@ class Gauge:
         return {"type": self.kind, "value": self._value}
 
 
+def exact_percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """The ``qs``-th percentiles (0..100) of ``values``, exactly.
+
+    Linear interpolation between order statistics (matching
+    ``numpy.percentile``), sorting once for all ``qs``; every value is
+    taken as a Python float.  No values gives 0.0 for every ``q``.
+    """
+    if not values:
+        return [0.0] * len(qs)
+    ordered = sorted(float(v) for v in values)
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        pos = last * q / 100.0
+        lo = int(pos)
+        hi = min(lo + 1, last)
+        frac = pos - lo
+        out.append(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
+    return out
+
+
 class Histogram:
     """Fixed-bucket histogram with count/sum/min/max and percentiles.
 
@@ -175,12 +196,7 @@ class Histogram:
             if self._count == 0:
                 return 0.0
             if self._samples is not None:
-                ordered = sorted(self._samples)
-                pos = (len(ordered) - 1) * q / 100.0
-                lo = int(pos)
-                hi = min(lo + 1, len(ordered) - 1)
-                frac = pos - lo
-                return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+                return exact_percentiles(self._samples, (q,))[0]
             # Bucket interpolation: walk the cumulative distribution to the
             # target rank, then place the value proportionally inside the
             # bucket that crosses it.  The observed min/max tighten the

@@ -73,6 +73,25 @@ class TestWorkflowFile:
         assert "tests/test_overlap.py" in runs
         assert "tests/test_kernel_schedule.py" in runs
 
+    def test_tests_job_checks_serving_golden_digests(self, workflow):
+        """A changed serving golden digest fails the tier-1 job: both serve
+        workloads run one full pass at the default (pinned) seed."""
+        lines = [
+            line.strip()
+            for run in _run_commands(workflow["jobs"]["tests"])
+            for line in run.splitlines()
+            if "perfbench/run.py" in line
+        ]
+        for workload in ("serve-steady", "serve-fleet"):
+            matching = [line for line in lines if f"--workload {workload}" in line]
+            assert len(matching) == 1, workload
+            command = matching[0]
+            assert command.startswith("python3 perfbench/run.py")
+            seed = re.search(r"--seed[ =](\d+)", command)
+            assert seed is None or seed.group(1) == "0"
+            assert "--record-golden" not in command
+            assert re.search(r"--seconds[ =][0-9.]+", command)
+
     def test_tests_job_runs_disagg_suite(self, workflow):
         """The disaggregated serving module is an explicit tier-1 member."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))

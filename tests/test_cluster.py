@@ -3,7 +3,8 @@
 The cluster simulator's contract is test-enforced (this PR's archetype):
 
 * a 1-replica unsharded :class:`~repro.cluster.ClusterScheduler` must be
-  numerically equivalent to a bare ``RequestScheduler`` run (1e-9);
+  bit-identical to a bare ``RequestScheduler`` run (compared with ``==``,
+  ``phase_seconds`` included);
 * request conservation and same-seed determinism must hold over seeded
   randomized streams for every routing policy, including under replica
   failure mid-flight;
@@ -42,9 +43,6 @@ from repro.engine import (
 from repro.pim import get_platform
 from repro.resilience import FaultInjector, FaultPlan, RecoveryManager
 from repro.workloads import opt_style
-
-TOL = 1e-9
-
 
 @pytest.fixture(scope="module")
 def config():
@@ -100,11 +98,12 @@ class TestSingleReplicaParity:
                                    cost_model=cost)
         res = cluster.run(stream)
         for name in self.PERCENTILE_FIELDS:
-            assert abs(getattr(res, name) - getattr(base, name)) <= TOL, name
-        assert abs(res.goodput_rps - base.goodput_rps) <= TOL
-        assert abs(res.throughput_rps - base.throughput_rps) <= TOL
-        assert abs(res.makespan_s - base.makespan_s) <= TOL
-        assert abs(res.busy_s - base.busy_s) <= TOL
+            assert getattr(res, name) == getattr(base, name), name
+        assert res.goodput_rps == base.goodput_rps
+        assert res.throughput_rps == base.throughput_rps
+        assert res.makespan_s == base.makespan_s
+        assert res.busy_s == base.busy_s
+        assert res.phase_seconds == base.phase_seconds
         assert res.completed == base.completed
         assert res.rejected == base.rejected
         assert res.steps == base.steps
@@ -122,8 +121,10 @@ class TestSingleReplicaParity:
         res = ClusterScheduler(server, config, replicas=1, policy=policy,
                                cost_model=cost).run(stream)
         assert res.rejected == expect.rejected and expect.rejected > 0
-        assert abs(res.goodput_rps - expect.goodput_rps) <= TOL
-        assert abs(res.e2e_p95_s - expect.e2e_p95_s) <= TOL
+        assert res.goodput_rps == expect.goodput_rps
+        for name in self.PERCENTILE_FIELDS:
+            assert getattr(res, name) == getattr(expect, name), name
+        assert res.phase_seconds == expect.phase_seconds
 
     def test_per_request_stats_match(self, server, config, reference,
                                      service_s, cost):

@@ -12,7 +12,10 @@ layer).
 import pytest
 
 from repro import cli
+from repro.baselines import wimpy_host
 from repro.cli import _apply_layers_override, _resolve_slo_s
+from repro.cluster import ClusterScheduler, cluster_load_sweep
+from repro.engine import GenerationServer
 from repro.pim import get_platform
 from repro.pim.gemm_kernels import gemm_on_pim, gemv_sequence_on_pim
 from repro.workloads import bert_base
@@ -67,6 +70,36 @@ class TestCLIZeroFlags:
         argv = [command, "--layers", "1", flag, "0"]
         assert cli.main(argv) == 2
         assert flag in capsys.readouterr().err
+
+
+class TestShardCounts:
+    """``shards < 1`` must raise, never run silently unsharded."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        return GenerationServer(get_platform("upmem"), wimpy_host())
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_cluster_scheduler_rejects(self, server, bad):
+        config = bert_base().with_(num_layers=1)
+        with pytest.raises(ValueError, match="shards"):
+            ClusterScheduler(server, config, replicas=1, shards=bad)
+
+    def test_sweep_checks_every_shard_count_upfront(self, server):
+        config = bert_base().with_(num_layers=1)
+        with pytest.raises(ValueError, match="shard"):
+            cluster_load_sweep(server, config, replica_counts=(1,),
+                               shard_counts=(1, 0), num_requests=2)
+
+    @pytest.mark.parametrize("shards", ["0", "-2"])
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_cli_exits_2(self, shards, sweep, capsys):
+        argv = ["serve-cluster", "--layers", "1", "--requests", "4",
+                "--replicas", "1", f"--shards={shards}", "--json"]
+        if sweep:
+            argv.append("--sweep")
+        assert cli.main(argv) == 2
+        assert "shard" in capsys.readouterr().err
 
 
 class TestKernelDtypeBytes:
