@@ -70,6 +70,26 @@ class RooflineDevice:
         memory = bytes_moved / self.mem_bandwidth
         return max(compute, memory) + self.op_overhead_s
 
+    def ccs_time(
+        self, n: int, h: int, v: int, ct: int, index_bytes: int = 1
+    ) -> float:
+        """Closest-centroid search of an (N, H) activation for one layer.
+
+        CCS is per-column inner products between (N, V) activation tiles
+        and (V, CT) codebooks (3*N*H*CT ops, paper §3.3) at small-K
+        efficiency, followed by an argmin over the (N, CB, CT) distance
+        tensor — which is why CCS contributes ~20% of PIM-DL's latency
+        despite its modest op count (Fig. 11-(a)).  ``index_bytes`` is
+        the per-entry width of the N·CB index matrix the argmin writes
+        (1 for CT <= 256); the decode and per-layer configuration models
+        leave it out (0).
+        """
+        cb = h // v
+        distance = self.small_k_gemm_time(n * cb, v, ct)
+        argmin_bytes = n * cb * ct * 4.0 + n * cb * index_bytes
+        argmin = self.op_time(n * cb * ct, argmin_bytes)
+        return distance + argmin
+
     def elementwise_time(self, elements: int, dtype_bytes: int = 4) -> float:
         """Streaming element-wise op (read + write each element once)."""
         return self.op_time(elements, 2.0 * elements * dtype_bytes)

@@ -62,13 +62,6 @@ class LayerConfigPlan:
         return self.assignment[layer_name]
 
 
-def _ccs_latency(host: RooflineDevice, n: int, h: int, v: int, ct: int) -> float:
-    cb = h // v
-    distance = host.small_k_gemm_time(n * cb, v, ct)
-    argmin = host.op_time(n * cb * ct, n * cb * ct * 4.0)
-    return distance + argmin
-
-
 def measure_candidates(
     model: Module,
     forward_batches: Sequence,
@@ -105,7 +98,9 @@ def measure_candidates(
                 n=serving_rows, h=layer.in_features, f=layer.out_features, v=v, ct=ct
             )
             latency = tuner.tune(shape).cost
-            latency += _ccs_latency(host, serving_rows, layer.in_features, v, ct)
+            latency += host.ccs_time(
+                serving_rows, layer.in_features, v, ct, index_bytes=0
+            )
             points.append(CandidatePoint(v=v, ct=ct, error=error, latency_s=latency))
         if not points:
             raise ValueError(f"no legal candidates for layer {name!r}")

@@ -21,13 +21,13 @@ from typing import TYPE_CHECKING, Dict, Optional
 from ..baselines.roofline import RooflineDevice
 from ..core.codebook import LUTShape
 from ..kernels import HostKernelProfile
-from ..mapping.analytical import with_overlap
 from ..mapping.tuner import AutoTuner
 from ..pim.gemm_kernels import linear_layer_on_pim
 from ..pim.platforms import PIMPlatform
 from ..workloads.configs import TransformerConfig
 from ..workloads.routing import MoEConfig
-from .moe import make_rank_tuner, price_moe_ffn
+from .engine import LUTEngineBase
+from .pricing import lut_op_cost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (resilience uses tuner)
     from ..resilience.recovery import RecoveryManager
@@ -96,46 +96,80 @@ def _elementwise_decode_time(
     return config.num_layers * per_layer
 
 
-class GEMVDecodeEngine:
-    """Decode with linear layers as per-token GEMVs on the PIM (baseline)."""
+def _decode_report(
+    engine: str,
+    host: RooflineDevice,
+    config: TransformerConfig,
+    batch_size: int,
+    context_len: int,
+    linear_s: float,
+    phases: Dict[str, float],
+    overlap_hidden_s: float = 0.0,
+) -> DecodeReport:
+    """One token step: ``linear_s`` plus host attention and element-wise."""
+    attention_s = _attention_decode_time(host, config, batch_size, context_len)
+    other_s = _elementwise_decode_time(host, config, batch_size)
+    phases["attention"] = attention_s
+    phases["elementwise"] = other_s
+    return DecodeReport(
+        engine=engine,
+        model=config.name,
+        batch_size=batch_size,
+        context_len=context_len,
+        linear_s=linear_s,
+        attention_s=attention_s,
+        other_s=other_s,
+        phase_seconds=phases,
+        overlap_hidden_s=overlap_hidden_s,
+    )
 
-    def __init__(self, platform: PIMPlatform, host: RooflineDevice):
-        self.platform = platform
-        self.host = host
+
+class _NativeDecodeEngine:
+    """Decode with dense linear layers on ``host``; subclasses name the
+    engine (``_engine_name()``) and price one (B, H)x(H, F) layer
+    (``_linear_time``)."""
 
     def run(
         self, config: TransformerConfig, batch_size: int = 1, context_len: int = 512
     ) -> DecodeReport:
         linear_s = 0.0
         for _, h, f in config.linear_layer_shapes():
-            linear_s += linear_layer_on_pim(self.platform, batch_size, h, f).total
+            linear_s += self._linear_time(batch_size, h, f)
         linear_s *= config.num_layers
-        attention_s = _attention_decode_time(self.host, config, batch_size, context_len)
-        other_s = _elementwise_decode_time(self.host, config, batch_size)
-        return DecodeReport(
-            engine=f"pim-gemv[{self.platform.name}]",
-            model=config.name,
-            batch_size=batch_size,
-            context_len=context_len,
-            linear_s=linear_s,
-            attention_s=attention_s,
-            other_s=other_s,
-            phase_seconds={
-                "gemm": linear_s,
-                "attention": attention_s,
-                "elementwise": other_s,
-            },
+        return _decode_report(
+            self._engine_name(), self.host, config, batch_size, context_len,
+            linear_s, {"gemm": linear_s},
         )
 
 
-class LUTDecodeEngine:
+class GEMVDecodeEngine(_NativeDecodeEngine):
+    """Decode with linear layers as per-token GEMVs on the PIM (baseline)."""
+
+    def __init__(self, platform: PIMPlatform, host: RooflineDevice):
+        self.platform = platform
+        self.host = host
+
+    def _engine_name(self) -> str:
+        return f"pim-gemv[{self.platform.name}]"
+
+    def _linear_time(self, batch_size: int, h: int, f: int) -> float:
+        return linear_layer_on_pim(self.platform, batch_size, h, f).total
+
+
+class LUTDecodeEngine(LUTEngineBase):
     """Decode with LUT-NN linear layers on the PIM (PIM-DL applied to decode).
 
     Per generated token the index matrix is tiny (N = batch), so the tuned
     mapping usually keeps the whole LUT resident (tables are weights) and the
     kernel reduces to per-token gathers — ``amortize_lut_distribution`` is
-    forced on, matching a serving deployment.
+    forced on, matching a serving deployment.  The double-buffered LUT
+    pipeline (``overlap``) is charged at its exposed transfer: a
+    :class:`DecodeReport` has no hidden-time subtraction, so ``linear_s``
+    and the ``dma`` phase carry wall-clock time and the hidden transfer is
+    reported alongside.
     """
+
+    ccs_index_bytes = 0
 
     def __init__(
         self,
@@ -148,43 +182,9 @@ class LUTDecodeEngine:
         resilience: Optional["RecoveryManager"] = None,
         overlap: bool = False,
     ):
-        self.platform = platform
-        self.host = host
-        self.v = v
-        self.ct = ct
-        self.tuner = tuner or AutoTuner(platform, amortize_lut_distribution=True)
-        self.host_kernel_profile = host_kernel_profile
-        self.resilience = resilience
-        #: Double-buffer the LUT micro-kernel loop (see PIMDLEngine).
-        self.overlap = overlap
-        self._rank_tuner: Optional[AutoTuner] = None
-
-    def _ccs_time(self, batch: int, h: int) -> float:
-        if self.host_kernel_profile is not None:
-            return self.host_kernel_profile.ccs_time(batch, h, self.ct)
-        cb = h // self.v
-        distance = self.host.small_k_gemm_time(batch * cb, self.v, self.ct)
-        argmin = self.host.op_time(batch * cb * self.ct, batch * cb * self.ct * 4.0)
-        return distance + argmin
-
-    def _moe_cost(self, config: TransformerConfig, batch_size: int, moe: MoEConfig):
-        if self._rank_tuner is None:
-            self._rank_tuner = make_rank_tuner(
-                self.platform,
-                amortize_lut_distribution=self.tuner.amortize_lut_distribution,
-                cache=self.tuner.cache,
-            )
-        return price_moe_ffn(
-            self._rank_tuner,
-            self.host,
-            batch_size,
-            config.hidden_dim,
-            config.ffn_dim,
-            moe,
-            num_ranks=self.platform.ranks,
-            v=self.v,
-            ct=self.ct,
-            ccs_time=self._ccs_time,
+        super().__init__(
+            platform, host, v, ct, True, tuner, host_kernel_profile,
+            resilience, overlap,
         )
 
     def run(
@@ -203,95 +203,48 @@ class LUTDecodeEngine:
         linear_s = 0.0
         hidden_s = 0.0
         phases: Dict[str, float] = {}
-
-        def add(phase: str, seconds: float) -> None:
-            phases[phase] = phases.get(phase, 0.0) + seconds
-
         for name, h, f in config.linear_layer_shapes():
             if moe is not None and name in ("FFN1", "FFN2"):
                 if name == "FFN2":
                     continue  # priced inside the MoE layer below
-                cost = self._moe_cost(config, batch_size, moe)
+                cost = self._moe_cost(batch_size, config, moe)
                 linear_s += cost.total_s
-                for phase, seconds in cost.phases.items():
-                    add(phase, seconds)
+                for phase, s in cost.phases.items():
+                    phases[phase] = phases.get(phase, 0.0) + s
                 continue
             shape = LUTShape(n=batch_size, h=h, f=f, v=self.v, ct=self.ct)
-            if self.resilience is not None and self.resilience.active:
-                lut_s, _ = self.resilience.lut_op_seconds(
-                    shape,
-                    self.platform,
-                    self.tuner,
-                    self.host,
-                    host_kernel_profile=self.host_kernel_profile,
-                    op_name=f"decode/{name}",
-                )
-                linear_s += lut_s
-                add("lut", lut_s)
-            else:
-                tuned = self.tuner.tune(shape)
-                lat = tuned.latency
-                if self.overlap:
-                    lat = with_overlap(shape, tuned.mapping, lat)
-                # DecodeReport has no hidden-time subtraction mechanism,
-                # so the wall clock (lat.total) and the *exposed* dma phase
-                # go in directly; the hidden time is reported alongside.
-                linear_s += lat.total
-                hidden_s += lat.overlap_hidden
-                add("distribution", lat.sub_index + lat.sub_lut)
-                add("dma", lat.exposed_transfer)
-                add("reduce", lat.kernel_reduce)
-                add("gather", lat.sub_output)
-                add("launch", lat.launch)
+            seconds, _, lut_phases, hidden = lut_op_cost(
+                self.tuner, shape, self.overlap, True, self.resilience,
+                self.host, self.host_kernel_profile, f"decode/{name}",
+            )
+            linear_s += seconds
+            hidden_s += hidden
+            for phase, s in lut_phases.items():
+                phases[phase] = phases.get(phase, 0.0) + s
             ccs_s = self._ccs_time(batch_size, h)
             linear_s += ccs_s
-            add("ccs", ccs_s)
+            phases["ccs"] = phases.get("ccs", 0.0) + ccs_s
         linear_s *= config.num_layers
         hidden_s *= config.num_layers
         phases = {p: s * config.num_layers for p, s in phases.items()}
-        attention_s = _attention_decode_time(self.host, config, batch_size, context_len)
-        other_s = _elementwise_decode_time(self.host, config, batch_size)
-        phases["attention"] = attention_s
-        phases["elementwise"] = other_s
-        return DecodeReport(
-            engine=f"pim-dl-decode[{self.platform.name}, V={self.v}]",
-            model=config.name,
-            batch_size=batch_size,
-            context_len=context_len,
-            linear_s=linear_s,
-            attention_s=attention_s,
-            other_s=other_s,
-            phase_seconds=phases,
-            overlap_hidden_s=hidden_s,
+        return _decode_report(
+            f"pim-dl-decode[{self.platform.name}, V={self.v}]", self.host, config,
+            batch_size, context_len, linear_s, phases, hidden_s,
         )
 
 
-class HostDecodeEngine:
+class HostDecodeEngine(_NativeDecodeEngine):
     """Decode entirely on a CPU/GPU roofline device."""
 
     def __init__(self, device: RooflineDevice):
         self.device = device
 
-    def run(
-        self, config: TransformerConfig, batch_size: int = 1, context_len: int = 512
-    ) -> DecodeReport:
-        linear_s = 0.0
-        for _, h, f in config.linear_layer_shapes():
-            linear_s += self.device.gemm_time(batch_size, h, f)
-        linear_s *= config.num_layers
-        attention_s = _attention_decode_time(self.device, config, batch_size, context_len)
-        other_s = _elementwise_decode_time(self.device, config, batch_size)
-        return DecodeReport(
-            engine=f"host-decode[{self.device.name}]",
-            model=config.name,
-            batch_size=batch_size,
-            context_len=context_len,
-            linear_s=linear_s,
-            attention_s=attention_s,
-            other_s=other_s,
-            phase_seconds={
-                "gemm": linear_s,
-                "attention": attention_s,
-                "elementwise": other_s,
-            },
-        )
+    @property
+    def host(self) -> RooflineDevice:
+        return self.device
+
+    def _engine_name(self) -> str:
+        return f"host-decode[{self.device.name}]"
+
+    def _linear_time(self, batch_size: int, h: int, f: int) -> float:
+        return self.device.gemm_time(batch_size, h, f)

@@ -13,13 +13,12 @@ Three engines share the operator graph of :mod:`repro.engine.graph`:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..core.codebook import LUTShape
 from ..kernels import HostKernelProfile
-from ..mapping.analytical import with_overlap
 from ..mapping.tuner import AutoTuner
 from ..pim.energy import host_only_energy, pim_system_energy
 from ..pim.gemm_kernels import linear_layer_on_pim
@@ -28,6 +27,7 @@ from ..workloads.configs import TransformerConfig
 from ..workloads.routing import MoEConfig
 from .graph import LINEAR, MOE, model_graph
 from .moe import MoELayerCost, make_rank_tuner, price_moe_ffn
+from .pricing import lut_op_cost
 from .report import EngineReport, OpLatency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (resilience uses tuner)
@@ -58,6 +58,57 @@ def _finish_run(report: EngineReport, span) -> None:
     span.set_attribute("ops", len(report.ops))
 
 
+def _priced_op(
+    report: EngineReport, tracer, engine: str, name: str, device: str,
+    category: str, price: Callable[..., float], *args,
+) -> None:
+    """Observe one op priced by ``price(*args)`` inside its ``op:`` span."""
+    with tracer.span(
+        f"op:{name}", engine=engine, device=device, category=category
+    ) as sp:
+        seconds = price(*args)
+        sp.set_attribute("model_seconds", seconds)
+    _observe_op(report, OpLatency(name, device, category, seconds))
+
+
+def _run_graph(
+    engine: str,
+    config: TransformerConfig,
+    graph,
+    host: RooflineDevice,
+    linear_op: Optional[Callable],
+    energy: Callable[[EngineReport], object],
+    pipeline_overlap: bool = False,
+) -> EngineReport:
+    """Walk ``graph`` under one ``engine.run`` span.
+
+    ``linear_op(report, tracer, op)`` observes each linear (or MoE)
+    operator; every other operator — and, without ``linear_op``, every
+    linear one as a ``gemm`` — runs on the ``host`` roofline.
+    ``pipeline_overlap`` hides ``min(host, pim)`` seconds (paper §7's
+    host/PIM double-buffering what-if) before ``energy(report)`` is taken.
+    """
+    tracer = obs.get_tracer()
+    report = EngineReport(engine=engine, model=config.name)
+    with tracer.span("engine.run", engine=engine, model=config.name) as root:
+        for op in graph:
+            if linear_op is not None and (op.kind == LINEAR or op.kind == MOE):
+                linear_op(report, tracer, op)
+            else:
+                category = "gemm" if op.kind == LINEAR else op.kind
+                _priced_op(
+                    report, tracer, engine, op.name, "host", category,
+                    host.op_time, op.flops, op.bytes_moved,
+                )
+        if pipeline_overlap:
+            # Engine-level what-if (host work under PIM kernels);
+            # composes additively with the kernel-level pipeline.
+            report.overlap_hidden_s += min(report.host_s, report.pim_s)
+        report.energy = energy(report)
+        _finish_run(report, root)
+    return report
+
+
 class HostEngine:
     """All operators on a single CPU/GPU roofline device."""
 
@@ -70,21 +121,10 @@ class HostEngine:
         return f"host[{self.device.name}]"
 
     def run(self, config: TransformerConfig) -> EngineReport:
-        tracer = obs.get_tracer()
-        report = EngineReport(engine=self.name, model=config.name)
-        with tracer.span("engine.run", engine=self.name, model=config.name) as root:
-            for op in model_graph(config, self.dtype_bytes):
-                category = "gemm" if op.kind == LINEAR else op.kind
-                with tracer.span(
-                    f"op:{op.name}", engine=self.name, device="host",
-                    category=category,
-                ) as sp:
-                    seconds = self.device.op_time(op.flops, op.bytes_moved)
-                    sp.set_attribute("model_seconds", seconds)
-                _observe_op(report, OpLatency(op.name, "host", category, seconds))
-            report.energy = host_only_energy(self.device, report.total_s)
-            _finish_run(report, root)
-        return report
+        return _run_graph(
+            self.name, config, model_graph(config, self.dtype_bytes), self.device,
+            None, lambda r: host_only_energy(self.device, r.total_s),
+        )
 
 
 class GEMMPIMEngine:
@@ -99,37 +139,97 @@ class GEMMPIMEngine:
         return f"pim-gemm[{self.platform.name}]"
 
     def run(self, config: TransformerConfig) -> EngineReport:
-        tracer = obs.get_tracer()
-        report = EngineReport(engine=self.name, model=config.name)
-        with tracer.span("engine.run", engine=self.name, model=config.name) as root:
-            n = config.tokens
-            for op in model_graph(config):
-                if op.kind == LINEAR:
-                    with tracer.span(
-                        f"op:{op.name}", engine=self.name, device="pim",
-                        category="gemm",
-                    ) as sp:
-                        breakdown = linear_layer_on_pim(self.platform, n, op.h, op.f)
-                        sp.set_attribute("model_seconds", breakdown.total)
-                    _observe_op(
-                        report, OpLatency(op.name, "pim", "gemm", breakdown.total)
-                    )
-                else:
-                    with tracer.span(
-                        f"op:{op.name}", engine=self.name, device="host",
-                        category=op.kind,
-                    ) as sp:
-                        seconds = self.host.op_time(op.flops, op.bytes_moved)
-                        sp.set_attribute("model_seconds", seconds)
-                    _observe_op(report, OpLatency(op.name, "host", op.kind, seconds))
-            report.energy = pim_system_energy(
-                self.platform, report.host_s, report.pim_s
+        name = self.name
+        n = config.tokens
+
+        def gemm(report, tracer, op):
+            _priced_op(
+                report, tracer, name, op.name, "pim", "gemm",
+                lambda: linear_layer_on_pim(self.platform, n, op.h, op.f).total,
             )
-            _finish_run(report, root)
-        return report
+
+        return _run_graph(
+            name, config, model_graph(config), self.host, gemm,
+            lambda r: pim_system_energy(self.platform, r.host_s, r.pim_s),
+        )
 
 
-class PIMDLEngine:
+class LUTEngineBase:
+    """The prefill and decode LUT engines' shared state and pricing: (V, CT)
+    validation, the CCS cost and the MoE entry.  Both price their LUT ops
+    through :func:`repro.engine.pricing.lut_op_cost`.
+
+    ``ccs_index_bytes`` is the one modeled difference between the two
+    engines' CCS costs (see :meth:`RooflineDevice.ccs_time`).
+    """
+
+    ccs_index_bytes = 1
+
+    def __init__(
+        self,
+        platform: PIMPlatform,
+        host: RooflineDevice,
+        v: int = 4,
+        ct: int = 16,
+        amortize_lut_distribution: Optional[bool] = None,
+        tuner: Optional[AutoTuner] = None,
+        host_kernel_profile: Optional[HostKernelProfile] = None,
+        resilience: Optional["RecoveryManager"] = None,
+        overlap: bool = False,
+    ):
+        if v <= 0 or ct <= 0:
+            raise ValueError("v and ct must be positive")
+        self.platform = platform
+        self.host = host
+        self.v = v
+        self.ct = ct
+        if amortize_lut_distribution is None:
+            # HBM-PIM/AiM keep LUTs (= model weights) resident in the PIM
+            # banks; UPMEM re-distributes them per kernel (paper's setup).
+            amortize_lut_distribution = bool(platform.extras.get("lut_resident", 0))
+        self.tuner = tuner or AutoTuner(
+            platform, amortize_lut_distribution=amortize_lut_distribution
+        )
+        self.host_kernel_profile = host_kernel_profile
+        self.resilience = resilience
+        self.overlap = overlap
+        self._rank_tuner: Optional[AutoTuner] = None
+        self._moe_costs: dict = {}
+
+    def _ccs_time(self, n: int, h: int) -> float:
+        """Host-side closest-centroid search for one linear layer; a
+        measured :class:`~repro.kernels.HostKernelProfile` replaces the
+        roofline estimate with this machine's real throughput."""
+        if self.host_kernel_profile is not None:
+            return self.host_kernel_profile.ccs_time(n, h, self.ct)
+        return self.host.ccs_time(n, h, self.v, self.ct, self.ccs_index_bytes)
+
+    def _moe_cost(
+        self, tokens: int, config: TransformerConfig, moe: MoEConfig
+    ) -> MoELayerCost:
+        """Price one MoE FFN layer at ``tokens`` rows (memoized per engine).
+
+        Expert kernels tune on a single-rank platform slice whose tuner
+        shares the dense tuner's ``MappingCache`` (keyed by platform, so
+        slice entries never collide) and amortization setting.
+        """
+        key = (tokens, config.hidden_dim, config.ffn_dim, moe)
+        if key not in self._moe_costs:
+            if self._rank_tuner is None:
+                self._rank_tuner = make_rank_tuner(
+                    self.platform,
+                    amortize_lut_distribution=self.tuner.amortize_lut_distribution,
+                    cache=self.tuner.cache,
+                )
+            self._moe_costs[key] = price_moe_ffn(
+                self._rank_tuner, self.host, tokens, config.hidden_dim,
+                config.ffn_dim, moe, num_ranks=self.platform.ranks,
+                v=self.v, ct=self.ct, ccs_time=self._ccs_time,
+            )
+        return self._moe_costs[key]
+
+
+class PIMDLEngine(LUTEngineBase):
     """The PIM-DL system: LUT-NN linear layers on PIM, the rest on the host.
 
     Parameters
@@ -165,99 +265,18 @@ class PIMDLEngine:
         False — bit-identical to the sequential model.
     """
 
-    def __init__(
-        self,
-        platform: PIMPlatform,
-        host: RooflineDevice,
-        v: int = 4,
-        ct: int = 16,
-        amortize_lut_distribution: Optional[bool] = None,
-        tuner: Optional[AutoTuner] = None,
-        host_kernel_profile: Optional[HostKernelProfile] = None,
-        resilience: Optional["RecoveryManager"] = None,
-        overlap: bool = False,
-    ):
-        if v <= 0 or ct <= 0:
-            raise ValueError("v and ct must be positive")
-        self.platform = platform
-        self.host = host
-        self.v = v
-        self.ct = ct
-        if amortize_lut_distribution is None:
-            # HBM-PIM/AiM keep LUTs (= model weights) resident in the PIM
-            # banks; UPMEM re-distributes them per kernel (paper's setup).
-            amortize_lut_distribution = bool(platform.extras.get("lut_resident", 0))
-        self.tuner = tuner or AutoTuner(
-            platform, amortize_lut_distribution=amortize_lut_distribution
-        )
-        self.host_kernel_profile = host_kernel_profile
-        self.resilience = resilience
-        self.overlap = overlap
-        self._rank_tuner: Optional[AutoTuner] = None
-        self._moe_costs: dict = {}
-
     @property
     def name(self) -> str:
         return f"pim-dl[{self.platform.name}, V={self.v}, CT={self.ct}]"
-
-    def _ccs_time(self, n: int, h: int) -> float:
-        """Host-side closest-centroid search for one linear layer.
-
-        CCS is implemented as per-column inner products between (N, V)
-        activation tiles and (V, CT) codebooks (3*N*H*CT ops, paper §3.3)
-        followed by an argmin over the (N, CB, CT) distance tensor.  The
-        inner dimension of those GEMMs is the sub-vector length V, so they
-        run at small-K efficiency — which is why CCS contributes ~20% of
-        PIM-DL's latency despite its modest op count (Fig. 11-(a)).
-
-        When a measured :class:`~repro.kernels.HostKernelProfile` is set it
-        replaces the roofline estimate with this machine's real throughput.
-        """
-        if self.host_kernel_profile is not None:
-            return self.host_kernel_profile.ccs_time(n, h, self.ct)
-        cb = h // self.v
-        distance = self.host.small_k_gemm_time(n * cb, self.v, self.ct)
-        argmin_bytes = n * cb * self.ct * 4.0 + n * cb
-        argmin = self.host.op_time(n * cb * self.ct, argmin_bytes)
-        return distance + argmin
 
     def lut_shape(self, n: int, h: int, f: int) -> LUTShape:
         if h % self.v:
             raise ValueError(f"hidden dim {h} not divisible by V={self.v}")
         return LUTShape(n=n, h=h, f=f, v=self.v, ct=self.ct)
 
-    def rank_tuner(self) -> AutoTuner:
-        """Auto-Tuner for a single-rank platform slice (MoE expert kernels).
-
-        Shares the dense tuner's ``MappingCache`` (keyed by platform, so
-        slice entries never collide with full-platform entries) and its
-        amortization setting.
-        """
-        if self._rank_tuner is None:
-            self._rank_tuner = make_rank_tuner(
-                self.platform,
-                amortize_lut_distribution=self.tuner.amortize_lut_distribution,
-                cache=self.tuner.cache,
-            )
-        return self._rank_tuner
-
     def moe_layer_cost(self, config: TransformerConfig, moe: MoEConfig) -> MoELayerCost:
         """Price one MoE FFN layer of ``config`` (memoized per engine)."""
-        key = (config.tokens, config.hidden_dim, config.ffn_dim, moe)
-        if key not in self._moe_costs:
-            self._moe_costs[key] = price_moe_ffn(
-                self.rank_tuner(),
-                self.host,
-                config.tokens,
-                config.hidden_dim,
-                config.ffn_dim,
-                moe,
-                num_ranks=self.platform.ranks,
-                v=self.v,
-                ct=self.ct,
-                ccs_time=self._ccs_time,
-            )
-        return self._moe_costs[key]
+        return self._moe_cost(config.tokens, config, moe)
 
     def run(
         self,
@@ -278,99 +297,54 @@ class PIMDLEngine:
         the expert placement's max-over-ranks LUT makespan
         (:func:`repro.engine.moe.price_moe_ffn`).
         """
-        tracer = obs.get_tracer()
-        report = EngineReport(engine=self.name, model=config.name)
-        with tracer.span("engine.run", engine=self.name, model=config.name) as root:
-            n = config.tokens
-            for op in model_graph(config, moe=moe):
-                if op.kind == MOE:
-                    self._run_moe_op(report, tracer, config, moe, op)
-                elif op.kind == LINEAR:
-                    with tracer.span(
-                        f"op:{op.name}/CCS", engine=self.name, device="host",
-                        category="ccs",
-                    ) as sp:
-                        ccs_seconds = self._ccs_time(n, op.h)
-                        sp.set_attribute("model_seconds", ccs_seconds)
-                    _observe_op(
-                        report, OpLatency(f"{op.name}/CCS", "host", "ccs", ccs_seconds)
-                    )
-                    # The LUT op's costing span nests the tuner's own spans
-                    # (and, under fault injection, the recovery ladder's).
-                    shape = self.lut_shape(n, op.h, op.f)
-                    lut_phases = None
-                    if self.resilience is not None and self.resilience.active:
-                        with tracer.span(
-                            f"op:{op.name}/LUT", engine=self.name, device="pim",
-                            category="lut",
-                        ) as sp:
-                            lut_seconds, device = self.resilience.lut_op_seconds(
-                                shape,
-                                self.platform,
-                                self.tuner,
-                                self.host,
-                                host_kernel_profile=self.host_kernel_profile,
-                                op_name=f"{op.name}/LUT",
-                            )
-                            sp.set_attribute("model_seconds", lut_seconds)
-                            sp.set_attribute("device", device)
-                    else:
-                        device = "pim"
-                        with tracer.span(
-                            f"op:{op.name}/LUT", engine=self.name, device="pim",
-                            category="lut",
-                        ) as sp:
-                            tuned = self.tuner.tune(shape)
-                            lat = tuned.latency
-                            if self.overlap:
-                                lat = with_overlap(shape, tuned.mapping, lat)
-                            # Op seconds and phases report the full
-                            # sequential work; the pipelined saving lands
-                            # in report.overlap_hidden_s, preserving the
-                            # sum(phases) == total_s + hidden invariant.
-                            lut_seconds = lat.total + lat.overlap_hidden
-                            report.overlap_hidden_s += lat.overlap_hidden
-                            # The analytical stages attribute the LUT op to
-                            # the same phases the simulator profiles.
-                            lut_phases = {
-                                "distribution": lat.sub_index + lat.sub_lut,
-                                "dma": lat.kernel_transfer,
-                                "reduce": lat.kernel_reduce,
-                                "gather": lat.sub_output,
-                                "launch": lat.launch,
-                            }
-                            sp.set_attribute("model_seconds", lut_seconds)
-                            if lat.overlap_hidden > 0:
-                                sp.set_attribute(
-                                    "overlap_hidden_s", lat.overlap_hidden
-                                )
-                    _observe_op(
-                        report,
-                        OpLatency(f"{op.name}/LUT", device, "lut", lut_seconds),
-                        phases=lut_phases,
-                    )
-                else:
-                    with tracer.span(
-                        f"op:{op.name}", engine=self.name, device="host",
-                        category=op.kind,
-                    ) as sp:
-                        seconds = self.host.op_time(op.flops, op.bytes_moved)
-                        sp.set_attribute("model_seconds", seconds)
-                    _observe_op(report, OpLatency(op.name, "host", op.kind, seconds))
-            if pipeline_overlap:
-                # Engine-level what-if (host work under PIM kernels);
-                # composes additively with the kernel-level pipeline above.
-                report.overlap_hidden_s += min(report.host_s, report.pim_s)
-            report.energy = pim_system_energy(
-                self.platform, report.host_s, report.pim_s
-            )
-            _finish_run(report, root)
-        return report
+        name = self.name
+        n = config.tokens
 
-    def _run_moe_op(self, report, tracer, config, moe, op) -> None:
+        def linear(report, tracer, op):
+            if op.kind == MOE:
+                self._run_moe_op(report, tracer, name, config, moe, op)
+            else:
+                self._run_lut_pair(report, tracer, name, n, op)
+
+        return _run_graph(
+            name, config, model_graph(config, moe=moe), self.host, linear,
+            lambda r: pim_system_energy(self.platform, r.host_s, r.pim_s),
+            pipeline_overlap,
+        )
+
+    def _run_lut_pair(self, report, tracer, name, n, op) -> None:
+        """Observe one converted linear layer as host CCS + PIM LUT op."""
+        _priced_op(
+            report, tracer, name, f"{op.name}/CCS", "host", "ccs",
+            self._ccs_time, n, op.h,
+        )
+        # The LUT op's costing span nests the tuner's own spans (and, under
+        # fault injection, the recovery ladder's).
+        shape = self.lut_shape(n, op.h, op.f)
+        with tracer.span(
+            f"op:{op.name}/LUT", engine=name, device="pim", category="lut",
+        ) as sp:
+            # Op seconds and phases report the full sequential work; the
+            # pipelined saving lands in report.overlap_hidden_s, preserving
+            # the sum(phases) == total_s + hidden invariant.
+            seconds, device, phases, hidden = lut_op_cost(
+                self.tuner, shape, self.overlap, False, self.resilience,
+                self.host, self.host_kernel_profile, f"{op.name}/LUT",
+            )
+            report.overlap_hidden_s += hidden
+            sp.set_attribute("model_seconds", seconds)
+            if self.resilience is not None and self.resilience.active:
+                sp.set_attribute("device", device)
+            if hidden > 0:
+                sp.set_attribute("overlap_hidden_s", hidden)
+        _observe_op(
+            report, OpLatency(f"{op.name}/LUT", device, "lut", seconds), phases
+        )
+
+    def _run_moe_op(self, report, tracer, name, config, moe, op) -> None:
         """Observe one ``FFN-MoE`` operator as gate + CCS + LUT makespan."""
         with tracer.span(
-            f"op:{op.name}", engine=self.name, device="pim", category="moe",
+            f"op:{op.name}", engine=name, device="pim", category="moe",
         ) as sp:
             cost = self.moe_layer_cost(config, moe)
             sp.set_attribute("model_seconds", cost.total_s)

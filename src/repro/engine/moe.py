@@ -22,7 +22,7 @@ re-searching for every count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .. import obs
 from ..baselines.roofline import RooflineDevice
@@ -31,6 +31,7 @@ from ..mapping.tuner import AutoTuner
 from ..pim.placement import load_imbalance, place_experts, rank_loads
 from ..pim.platforms import PIMPlatform
 from ..workloads.routing import MoEConfig, route_tokens
+from .pricing import lut_op_cost
 
 
 def token_bucket(n: int) -> int:
@@ -127,14 +128,16 @@ def price_moe_ffn(
     num_ranks: int,
     v: int,
     ct: int,
-    ccs_time: Optional[Callable[[int, int], float]] = None,
+    ccs_time: Callable[[int, int], float],
 ) -> MoELayerCost:
     """Price one MoE FFN layer (see module docstring for the model).
 
-    ``ccs_time(n, h)`` defaults to a small-K roofline estimate mirroring
-    :meth:`repro.engine.engine.PIMDLEngine._ccs_time`; engines pass their
-    own so a measured host kernel profile flows through.
+    ``ccs_time(n, h)`` is the calling engine's CCS cost
+    (:meth:`repro.engine.engine.LUTEngineBase._ccs_time`), so a measured
+    host kernel profile flows through.
     """
+    if v <= 0 or ct <= 0:
+        raise ValueError("v and ct must be positive")
     if tokens <= 0:
         raise ValueError("tokens must be positive")
     if num_ranks <= 0:
@@ -144,8 +147,6 @@ def price_moe_ffn(
             f"hidden_dim={hidden_dim} and ffn_dim={ffn_dim} must be "
             f"divisible by V={v}"
         )
-    if ccs_time is None:
-        ccs_time = _roofline_ccs(host, v, ct)
 
     trace = route_tokens(tokens, moe)
     counts = trace.expert_token_counts()
@@ -171,18 +172,14 @@ def price_moe_ffn(
         seconds = 0.0
         phases: Dict[str, float] = {}
         for h, f in ((hidden_dim, ffn_dim), (ffn_dim, hidden_dim)):
-            lat = rank_tuner.tune(LUTShape(n=nb, h=h, f=f, v=v, ct=ct)).latency
-            seconds += lat.total * scale
+            lut_s, _, lut_phases, _ = lut_op_cost(
+                rank_tuner, LUTShape(n=nb, h=h, f=f, v=v, ct=ct)
+            )
+            seconds += lut_s * scale
             # Same stage attribution as the dense LUT op; partitions the
             # scaled total exactly, so critical-rank phases sum to the
             # makespan.
-            for phase, s in (
-                ("distribution", lat.sub_index + lat.sub_lut),
-                ("dma", lat.kernel_transfer),
-                ("reduce", lat.kernel_reduce),
-                ("gather", lat.sub_output),
-                ("launch", lat.launch),
-            ):
+            for phase, s in lut_phases.items():
                 phases[phase] = phases.get(phase, 0.0) + s * scale
         expert_seconds.append(seconds)
         expert_phases.append(phases)
@@ -243,17 +240,3 @@ def _gate_time(host: RooflineDevice, tokens: int, h: int, experts: int) -> float
     select = host.op_time(tokens * experts, 2.0 * tokens * experts * 4.0)
     return host.op_time(gemm_flops, gemm_bytes) + select
 
-
-def _roofline_ccs(
-    host: RooflineDevice, v: int, ct: int
-) -> Callable[[int, int], float]:
-    """Default CCS estimate (mirrors ``PIMDLEngine._ccs_time``)."""
-
-    def ccs(n: int, h: int) -> float:
-        cb = h // v
-        distance = host.small_k_gemm_time(n * cb, v, ct)
-        argmin_bytes = n * cb * ct * 4.0 + n * cb
-        argmin = host.op_time(n * cb * ct, argmin_bytes)
-        return distance + argmin
-
-    return ccs

@@ -112,9 +112,6 @@ class GenerationServer:
         :func:`~repro.mapping.tuner.tune_model_parallel`) never re-runs
         Algorithm 1; searches it does perform are persisted for the next
         process.
-    tune_jobs:
-        Worker processes for any tuning the server still has to do
-        (cold cache).  ``0`` means one per CPU.
     host_kernel_profile:
         Measured host CCS throughput (:func:`repro.kernels.measure_host_kernels`);
         forwarded to both the prefill and decode engines so their latency
@@ -146,7 +143,6 @@ class GenerationServer:
         ct: int = 16,
         lut_nn: bool = True,
         mapping_cache: Optional[Union[MappingCache, str]] = None,
-        tune_jobs: int = 1,
         host_kernel_profile: Optional[HostKernelProfile] = None,
         resilience: Optional[RecoveryManager] = None,
         overlap: bool = False,
@@ -170,33 +166,23 @@ class GenerationServer:
             # platforms that keep weights in PIM banks); decode always
             # amortizes.  The regimes tune distinct shapes, so they get
             # separate tuners sharing one persistent cache.
+            def tuner(amortize: bool) -> AutoTuner:
+                return AutoTuner(
+                    platform,
+                    amortize_lut_distribution=amortize,
+                    cache=mapping_cache,
+                    schedule_cache=self.schedule_cache,
+                )
+
+            shared = dict(
+                v=v, ct=ct, host_kernel_profile=host_kernel_profile,
+                resilience=self.resilience, overlap=overlap,
+            )
             prefill_amortize = bool(platform.extras.get("lut_resident", 0))
             self._prefill = PIMDLEngine(
-                platform, host, v=v, ct=ct,
-                tuner=AutoTuner(
-                    platform,
-                    amortize_lut_distribution=prefill_amortize,
-                    jobs=tune_jobs,
-                    cache=mapping_cache,
-                    schedule_cache=self.schedule_cache,
-                ),
-                host_kernel_profile=host_kernel_profile,
-                resilience=self.resilience,
-                overlap=overlap,
+                platform, host, tuner=tuner(prefill_amortize), **shared
             )
-            self._decode = LUTDecodeEngine(
-                platform, host, v=v, ct=ct,
-                tuner=AutoTuner(
-                    platform,
-                    amortize_lut_distribution=True,
-                    jobs=tune_jobs,
-                    cache=mapping_cache,
-                    schedule_cache=self.schedule_cache,
-                ),
-                host_kernel_profile=host_kernel_profile,
-                resilience=self.resilience,
-                overlap=overlap,
-            )
+            self._decode = LUTDecodeEngine(platform, host, tuner=tuner(True), **shared)
         else:
             self._prefill = GEMMPIMEngine(platform, host)
             self._decode = GEMVDecodeEngine(platform, host)
@@ -216,7 +202,7 @@ class GenerationServer:
 
         With a populated ``mapping_cache`` this loads mappings instead of
         searching (zero candidates evaluated); on a cold cache it runs the
-        searches once — with ``tune_jobs`` workers — and persists them.
+        searches once (serially) and persists them.
 
         When a ``schedule_cache`` is configured, the warmup also searches
         the host-kernel schedule for the first prefill shape (persisted

@@ -177,6 +177,15 @@ class TestWorkflowFile:
         assert "-m slow" in runs
         assert "benchmarks" in runs
 
+    def test_slow_job_runs_every_example(self, workflow):
+        steps = workflow["jobs"]["slow-benchmarks"]["steps"]
+        step = next(s for s in steps if "examples/*.py" in s.get("run", ""))
+        run = step["run"]
+        assert "set -euo pipefail" in run  # a failing example fails the job
+        assert re.search(r'PYTHONPATH=src python "\$example"', run)
+        assert "if" not in step and not step.get("continue-on-error")
+        assert os.path.isdir(os.path.join(REPO, "examples"))
+
     def test_nightly_bench_is_nightly_or_manual_only(self, workflow):
         condition = workflow["jobs"]["nightly-bench"]["if"]
         assert "schedule" in condition and "workflow_dispatch" in condition

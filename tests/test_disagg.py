@@ -504,6 +504,25 @@ class TestServeDisaggCLI:
         assert payload["schedule"]["placement"] == "hybrid"
         assert payload["kv_transfer"]["kv_dtype_bytes"] > 0
 
+    def test_single_run_text_attribution(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "serve-disagg", "--model", "bert-base", "--layers", "1",
+            "--placement", "hybrid", "--utilization", "1.4",
+            "--requests", "24", "--attribution",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "hybrid placement" in lines[0]
+        header = next(line for line in lines if line.startswith("placement"))
+        assert "e2e ms p50/95/99" in header
+        row = next(line for line in lines if line.startswith("hybrid ")).split()
+        assert row[1:3] == ["24", "0"]  # done, rejected
+        assert any(line.startswith("pools: prefill busy") for line in lines)
+        for phase in ("prefill", "decode", "kv_transfer"):
+            assert any(line.startswith(f"[{phase}] bottleneck:") for line in lines)
+
     def test_rejects_bad_args(self, capsys):
         from repro.cli import main
 

@@ -15,10 +15,11 @@ from repro import cli
 from repro.baselines import wimpy_host
 from repro.cli import _apply_layers_override, _resolve_slo_s
 from repro.cluster import ClusterScheduler, cluster_load_sweep
-from repro.engine import GenerationServer
+from repro.engine import (GenerationServer, LUTDecodeEngine, PIMDLEngine,
+                          make_rank_tuner, price_moe_ffn)
 from repro.pim import get_platform
 from repro.pim.gemm_kernels import gemm_on_pim, gemv_sequence_on_pim
-from repro.workloads import bert_base
+from repro.workloads import MoEConfig, bert_base
 
 
 class TestHelpers:
@@ -121,3 +122,36 @@ class TestKernelDtypeBytes:
         explicit = gemm_on_pim(upmem, 64, 64, 64,
                                dtype_bytes=upmem.gemm_dtype_bytes)
         assert gemm_on_pim(upmem, 64, 64, 64).total == explicit.total
+
+
+class TestLUTHyperParameters:
+    """``v``/``ct`` <= 0 fail at the boundary, not as a ``ZeroDivisionError``
+    deep in the pricing path."""
+
+    @pytest.fixture(scope="class")
+    def upmem(self):
+        return get_platform("upmem")
+
+    BAD = [{"v": 0}, {"ct": 0}, {"v": -2}, {"ct": -1}]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("engine", [PIMDLEngine, LUTDecodeEngine])
+    def test_lut_engines_reject_at_construction(self, upmem, engine, bad):
+        with pytest.raises(ValueError, match="v and ct must be positive"):
+            engine(upmem, wimpy_host(), **bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_generation_server_rejects(self, upmem, bad):
+        with pytest.raises(ValueError, match="v and ct must be positive"):
+            GenerationServer(upmem, wimpy_host(), **bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_price_moe_ffn_rejects(self, upmem, bad):
+        engine = PIMDLEngine(upmem, wimpy_host())
+        kwargs = {"v": 4, "ct": 16, **bad}
+        with pytest.raises(ValueError, match="v and ct must be positive"):
+            price_moe_ffn(
+                make_rank_tuner(upmem), wimpy_host(), 64, 768, 3072,
+                MoEConfig(num_experts=8), num_ranks=upmem.ranks,
+                ccs_time=engine._ccs_time, **kwargs,
+            )

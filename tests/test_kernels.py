@@ -600,6 +600,25 @@ class TestKernelsCLI:
         assert payload["ccs"]["index_match"] == 1.0
         assert payload["lut"]["relative_error"] < 1e-9
 
+    def test_kernels_search_schedule_cache_hit(self, capsys, tmp_path):
+        """``--search`` measures on a cold cache and reuses the persisted
+        winner on the second run, skipping every measurement."""
+        from repro.cli import main
+
+        argv = [
+            "kernels", "--n", "16", "--h", "16", "--f", "8", "--v", "4",
+            "--ct", "4", "--repeats", "1", "--search",
+            "--schedule-cache", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "measured search (" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert f"cache {tmp_path} (search skipped)" in warm
+        for out in (cold, warm):
+            assert "gather strategy" in out and "speedup vs default" in out
+
     def test_kernels_rejects_bad_shape(self, capsys):
         from repro.cli import main
 

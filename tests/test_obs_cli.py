@@ -133,6 +133,29 @@ class TestServeSimRateValidation:
         assert main([*self.ARGS, "--utilization", "0"]) == 2
         assert "--utilization must be positive" in capsys.readouterr().err
 
+    def test_text_mode_compare_fifo_attribution(self, capsys):
+        """The human-readable table: one row per discipline, per-phase
+        attribution, and the batching-vs-FIFO verdict line."""
+        assert main([
+            "serve-sim", "--model", "bert-base", "--layers", "1",
+            "--requests", "24", "--utilization", "1.4",
+            "--compare-fifo", "--attribution",
+        ]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        header = next(line for line in lines if line.startswith("discipline"))
+        assert "ttft ms p50/95/99" in header and "goodput" in header
+        rows = {
+            line.split("  ")[0]: line.split("  ")[1:]
+            for line in lines
+            if line.startswith(("continuous batching  ", "fifo (batch 1)  "))
+        }
+        assert set(rows) == {"continuous batching", "fifo (batch 1)"}
+        for cells in rows.values():  # done, rejected
+            assert [c.strip() for c in cells if c.strip()][:2] == ["24", "0"]
+        assert "[prefill] bottleneck:" in out and "[decode] bottleneck:" in out
+        assert "continuous batching vs FIFO at the same stream" in out
+
 
 class TestTraceExport:
     def test_trace_export_writes_loadable_file(self, capsys, tmp_path):
